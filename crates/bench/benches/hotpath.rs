@@ -2,8 +2,9 @@
 //! rewrote, measured where they live.
 //!
 //! * **DFS node rate** — the 32-target exact probe sequence replayed
-//!   through [`BindingProblem::find_feasible_counted`], which reports
-//!   the exact number of DFS nodes expanded. Node counts are
+//!   through [`BindingProblem::find_feasible_stats_cancellable`], whose
+//!   [`SearchStats::nodes`] reports the exact number of DFS nodes
+//!   expanded. Node counts are
 //!   bit-identical across builds (the arena refactor changes *where
 //!   state lives*, never *which branches are explored* — the
 //!   equivalence suites prove that), so nodes-per-second is a pure
@@ -28,6 +29,7 @@
 //!
 //! Methodology notes live in `crates/bench/BENCHMARKS.md`.
 
+use stbus_core::exec::CancelToken;
 use stbus_core::synthesizer::{Exact, Synthesizer};
 use stbus_core::{DesignParams, Preprocessed};
 use stbus_traffic::kernels;
@@ -118,16 +120,17 @@ fn main() {
 
     let replay = || {
         let mut nodes = 0u64;
+        let root = CancelToken::new();
         for (problem, feasible) in &probes {
-            let (found, n) = problem
-                .find_feasible_counted(&params.solve_limits)
+            let (found, stats) = problem
+                .find_feasible_stats_cancellable(&params.solve_limits, &root)
                 .expect("within the node budget");
             assert_eq!(
                 found.is_some(),
                 *feasible,
                 "replay verdict diverged from the reference probe log"
             );
-            nodes += n;
+            nodes += stats.nodes;
         }
         nodes
     };

@@ -60,9 +60,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use stbus_core::pipeline::BaselineSet;
 use stbus_core::synthesizer::{Exact, Heuristic, Portfolio, Synthesizer};
-use stbus_core::{
-    exec, synthesize, Batch, DesignParams, Preprocessed, ProbeScheduler, SynthesisEngine,
-};
+use stbus_core::{exec, Batch, DesignParams, Preprocessed, ProbeScheduler, SynthesisEngine};
 use stbus_milp::{HeuristicOptions, PruningLevel, SearchLevel, SolveLimits};
 use stbus_traffic::workloads::synthetic;
 use std::fmt::Write as _;
@@ -174,16 +172,20 @@ fn bench_phase3(c: &mut Criterion) {
             // The unpruned bitset pipeline: completes at 12/24 (recorded
             // for the pruning speedup), dies on the node budget at 32 —
             // the moved cliff, measured rather than remembered.
-            let unpruned = Exact::default().with_pruning(PruningLevel::Off);
+            let unpruned = params.clone().with_pruning(PruningLevel::Off);
             let start = Instant::now();
-            match unpruned.synthesize(&pre, &params) {
+            match Exact::default().synthesize(&pre, &unpruned) {
                 Ok(out) => {
                     assert_eq!(
                         (out.num_buses, out.max_bus_overlap),
                         bitset,
                         "pruned and unpruned exact answers diverged at {targets} targets"
                     );
-                    let s = min_time(2, || unpruned.synthesize(&pre, &params).expect("completed"));
+                    let s = min_time(2, || {
+                        Exact::default()
+                            .synthesize(&pre, &unpruned)
+                            .expect("completed")
+                    });
                     seconds.push(("exact_bitset_unpruned", s));
                     unpruned_exact = Some(Some(s));
                 }
@@ -288,18 +290,18 @@ fn bench_phase3(c: &mut Criterion) {
     // --- Probe scheduler at a fully exact-tractable size. ---
     let sched_targets = 24;
     let pre24 = pre_of(sched_targets, &params);
-    let sequential = synthesize(&pre24, &params).unwrap();
-    let sequential_s = min_time(3, || synthesize(&pre24, &params).unwrap());
+    let sequential = Exact::default().synthesize(&pre24, &params).unwrap();
+    let sequential_s = min_time(3, || Exact::default().synthesize(&pre24, &params).unwrap());
     let jobs_nz = NonZeroUsize::new(jobs).expect("parallelism is positive");
     let parallel_s = min_time(3, || {
         ProbeScheduler::new(jobs_nz)
-            .synthesize(&pre24, &params)
+            .synthesize(&pre24, &params, &exec::CancelToken::new())
             .unwrap()
     });
     let raced_s = min_time(3, || {
         ProbeScheduler::new(jobs_nz)
             .with_race(HeuristicOptions::default())
-            .synthesize(&pre24, &params)
+            .synthesize(&pre24, &params, &exec::CancelToken::new())
             .unwrap()
     });
     // Phase attribution for the raced run: the heuristic pre-pass over
@@ -384,7 +386,7 @@ fn bench_phase3(c: &mut Criterion) {
         .with_learned_seed(0);
     let (witness, witness_stats) = pre48
         .binding_problem(15)
-        .find_feasible_stats(&learned_budget)
+        .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
         .expect("learned 15-bus probe must stay within the probe budget");
     let witness = witness.expect("learned search must certify the 15-bus witness at 48 targets");
     assert!(
@@ -394,7 +396,7 @@ fn bench_phase3(c: &mut Criterion) {
     let witness_s = min_time(3, || {
         pre48
             .binding_problem(15)
-            .find_feasible_stats(&learned_budget)
+            .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
             .expect("within budget")
     });
     // The standard engine under the identical budget: record the burn.
@@ -414,7 +416,7 @@ fn bench_phase3(c: &mut Criterion) {
         for buses in lb..=learned_targets {
             match pre48
                 .binding_problem(buses)
-                .find_feasible_stats(&learned_budget)
+                .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
             {
                 Ok((None, _)) => proven = buses,
                 Ok((Some(_), _)) => {

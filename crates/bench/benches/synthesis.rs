@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use stbus_bench::{paper_suite, suite_params};
-use stbus_core::{phase1, phase3, Preprocessed};
+use stbus_core::{phase1, Exact, Preprocessed, Synthesizer};
 
 fn bench_synthesis(c: &mut Criterion) {
     let mut group = c.benchmark_group("synthesis");
@@ -16,7 +16,7 @@ fn bench_synthesis(c: &mut Criterion) {
             BenchmarkId::new("it_direction", app.name()),
             &pre,
             |b, pre| {
-                b.iter(|| phase3::synthesize(pre, &params).expect("ok"));
+                b.iter(|| Exact::default().synthesize(pre, &params).expect("ok"));
             },
         );
     }

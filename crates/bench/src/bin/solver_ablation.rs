@@ -5,7 +5,7 @@
 //! optimal crossbar configuration").
 
 use stbus_bench::{paper_suite, suite_params};
-use stbus_core::{phase3, Pipeline};
+use stbus_core::{Exact, Pipeline, Synthesizer};
 use stbus_milp::{crossbar, SolveLimits};
 use stbus_report::Table;
 use std::time::Instant;
@@ -55,13 +55,17 @@ fn main() {
         let collected = Pipeline::collect(&app, &params);
         let analyzed = collected.analyze(&params);
         let t0 = Instant::now();
-        let with = phase3::synthesize(analyzed.pre_it(), &params).expect("ok");
+        let with = Exact::default()
+            .synthesize(analyzed.pre_it(), &params)
+            .expect("ok");
         let with_time = t0.elapsed();
 
         let no_conflict_params = params.clone().with_overlap_threshold(0.5);
         let analyzed2 = collected.analyze(&no_conflict_params);
         let t0 = Instant::now();
-        let without = phase3::synthesize(analyzed2.pre_it(), &no_conflict_params).expect("ok");
+        let without = Exact::default()
+            .synthesize(analyzed2.pre_it(), &no_conflict_params)
+            .expect("ok");
         let without_time = t0.elapsed();
         table.row(vec![
             app.name().to_string(),

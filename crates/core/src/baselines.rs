@@ -274,6 +274,7 @@ fn minimum_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synthesizer::{Exact, Synthesizer};
     use stbus_traffic::{workloads, InitiatorId, TargetId, TraceEvent};
 
     #[test]
@@ -327,7 +328,7 @@ mod tests {
         assert_eq!(peak.num_buses, 2);
 
         let pre = Preprocessed::analyze(&tr, &params);
-        let win = crate::phase3::synthesize(&pre, &params).unwrap();
+        let win = Exact::default().synthesize(&pre, &params).unwrap();
         assert_eq!(win.num_buses, 1);
     }
 
@@ -337,7 +338,7 @@ mod tests {
         let params = DesignParams::default();
         let collected = crate::phase1::collect(&app, &params);
         let pre = Preprocessed::analyze(&collected.it_trace, &params);
-        let synth = crate::phase3::synthesize(&pre, &params).unwrap();
+        let synth = Exact::default().synthesize(&pre, &params).unwrap();
         for seed in 0..5 {
             let rnd = random_binding_design(&pre, synth.num_buses, seed, &params)
                 .unwrap()
@@ -357,7 +358,7 @@ mod tests {
         let params = DesignParams::default();
         let collected = crate::phase1::collect(&app, &params);
         let pre = Preprocessed::analyze(&collected.it_trace, &params);
-        let synth = crate::phase3::synthesize(&pre, &params).unwrap();
+        let synth = Exact::default().synthesize(&pre, &params).unwrap();
         let mut distinct = std::collections::HashSet::new();
         for seed in 0..8 {
             if let Some(d) = random_binding_design(&pre, synth.num_buses, seed, &params).unwrap() {

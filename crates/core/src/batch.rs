@@ -123,7 +123,7 @@ impl<'a> Batch<'a> {
     /// Sets the synthesis strategy by name (default-configured).
     #[must_use]
     pub fn with_strategy_kind(mut self, kind: SolverKind) -> Self {
-        self.strategy = kind.synthesizer();
+        self.strategy = kind.synthesizer(None);
         self
     }
 

@@ -1,22 +1,17 @@
-//! The end-to-end design flow (paper Fig. 3) and its evaluation report.
+//! The evaluation report of the design flow (paper Fig. 3) and its error
+//! type.
 //!
-//! [`DesignFlow::run`] performs all four phases for both crossbar
-//! directions and evaluates the designed system against the full-crossbar,
-//! shared-bus and average-flow baselines on the same traffic — producing
-//! everything needed to regenerate the paper's Tables 1–2 and Fig. 4.
-//!
-//! Since the staged-pipeline redesign this type is a thin compatibility
-//! wrapper over [`crate::pipeline`]: `run` is exactly
-//! `collect → analyze → synthesize(Exact) → report()`. Parameter sweeps
-//! and batch evaluations should use the staged API (or [`crate::Batch`])
-//! directly so phase 1 is paid once per application.
+//! The flow itself is the staged [`crate::pipeline`]:
+//! `Pipeline::collect(app, params).analyze(params)
+//! .synthesize(&Exact::default())?.report()` performs all four phases for
+//! both crossbar directions and evaluates the designed system against the
+//! full-crossbar, shared-bus and average-flow baselines on the same
+//! traffic — producing everything needed to regenerate the paper's
+//! Tables 1–2 and Fig. 4 as a [`DesignReport`].
 
 use crate::params::DesignParams;
-use crate::phase1::CollectedTraffic;
 use crate::phase3::SynthesisOutcome;
 use crate::phase4::{validate, Validation};
-use crate::pipeline::Pipeline;
-use crate::synthesizer::Exact;
 use stbus_milp::NodeLimitExceeded;
 use stbus_sim::CrossbarConfig;
 use stbus_traffic::workloads::Application;
@@ -172,73 +167,26 @@ impl DesignReport {
     }
 }
 
-/// The four-phase design flow.
-#[derive(Debug, Clone, Default)]
-pub struct DesignFlow {
-    params: DesignParams,
-}
-
-impl DesignFlow {
-    /// Creates a flow with the given parameters.
-    #[must_use]
-    pub fn new(params: DesignParams) -> Self {
-        Self { params }
-    }
-
-    /// The parameters in force.
-    #[must_use]
-    pub fn params(&self) -> &DesignParams {
-        &self.params
-    }
-
-    /// Runs phases 1–3 for both directions and returns the synthesis
-    /// outcomes together with the collected traffic (no validation runs).
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::SolverLimit`] if the exact solver exhausts its budget.
-    pub fn synthesize_only(
-        &self,
-        app: &Application,
-    ) -> Result<(SynthesisOutcome, SynthesisOutcome, CollectedTraffic), FlowError> {
-        let collected = Pipeline::collect(app, &self.params);
-        let analyzed = collected.analyze(&self.params);
-        let synthesized = analyzed.synthesize(&Exact::default())?;
-        let (it, ti) = (synthesized.it, synthesized.ti);
-        drop(analyzed);
-        Ok((it, ti, collected.into_traffic()))
-    }
-
-    /// Runs the complete flow: collection, pre-processing, synthesis and
-    /// validation, plus the baseline evaluations.
-    ///
-    /// Equivalent to the staged
-    /// `Pipeline::collect(app, params).analyze(params)
-    /// .synthesize(&Exact::default())?.report()` — kept as the one-call
-    /// convenience entry point.
-    ///
-    /// # Errors
-    ///
-    /// [`FlowError::SolverLimit`] if the exact solver exhausts its budget.
-    pub fn run(&self, app: &Application) -> Result<DesignReport, FlowError> {
-        Pipeline::collect(app, &self.params)
-            .analyze(&self.params)
-            .synthesize(&Exact::default())?
-            .report()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Pipeline;
+    use crate::synthesizer::Exact;
     use stbus_traffic::workloads;
+
+    fn run(app: &Application) -> DesignReport {
+        let params = DesignParams::default();
+        Pipeline::collect(app, &params)
+            .analyze(&params)
+            .synthesize(&Exact::default())
+            .and_then(|synthesized| synthesized.report())
+            .expect("flow succeeds")
+    }
 
     #[test]
     fn mat2_flow_end_to_end() {
         let app = workloads::matrix::mat2(42);
-        let report = DesignFlow::new(DesignParams::default())
-            .run(&app)
-            .expect("flow succeeds");
+        let report = run(&app);
         // Structure.
         assert_eq!(report.num_initiators, 9);
         assert_eq!(report.num_targets, 12);
@@ -255,9 +203,7 @@ mod tests {
     #[test]
     fn designed_beats_avg_based_latency() {
         let app = workloads::matrix::mat2(43);
-        let report = DesignFlow::new(DesignParams::default())
-            .run(&app)
-            .expect("flow succeeds");
+        let report = run(&app);
         assert!(
             report.avg_based.avg_latency > report.designed.avg_latency,
             "avg-based {} vs designed {}",
@@ -269,11 +215,13 @@ mod tests {
     #[test]
     fn synthesize_only_skips_validation() {
         let app = workloads::qsort::qsort(44);
-        let flow = DesignFlow::new(DesignParams::default());
-        let (it, ti, collected) = flow.synthesize_only(&app).expect("synthesis");
-        assert!(it.num_buses >= 1 && it.num_buses <= 9);
-        assert!(ti.num_buses >= 1 && ti.num_buses <= 6);
-        assert_eq!(collected.it_trace.len(), app.trace.len());
+        let params = DesignParams::default();
+        let collected = Pipeline::collect(&app, &params);
+        let analyzed = collected.analyze(&params);
+        let synthesized = analyzed.synthesize(&Exact::default()).expect("synthesis");
+        assert!(synthesized.it.num_buses >= 1 && synthesized.it.num_buses <= 9);
+        assert!(synthesized.ti.num_buses >= 1 && synthesized.ti.num_buses <= 6);
+        assert_eq!(collected.traffic().it_trace.len(), app.trace.len());
     }
 
     #[test]

@@ -65,12 +65,13 @@
 //! assert!(lean.baselines.is_empty());
 //! ```
 //!
-//! [`DesignFlow::run`] remains as the one-call convenience wrapper over
-//! exactly this pipeline. [`Batch`] evaluates `applications × parameter
-//! grid` in parallel, collecting once per application. Synthesis
-//! strategies ([`synthesizer::Exact`], [`synthesizer::Heuristic`],
+//! [`Batch`] evaluates `applications × parameter grid` in parallel,
+//! collecting once per application. Synthesis strategies
+//! ([`synthesizer::Exact`], [`synthesizer::Heuristic`],
 //! [`synthesizer::Portfolio`]) plug into phase 3 via the
-//! [`synthesizer::Synthesizer`] trait.
+//! [`synthesizer::Synthesizer`] trait; all of them run phase 3's one exact
+//! path ([`ProbeScheduler::synthesize`]) or its one heuristic path
+//! ([`synthesize_heuristic`]) under a cooperative [`exec::CancelToken`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,14 +119,11 @@ pub mod pipeline;
 pub mod synthesizer;
 
 pub use batch::{Batch, BatchResult};
-pub use flow::{ConfigEval, DesignFlow, DesignReport, FlowError};
+pub use flow::{ConfigEval, DesignReport, FlowError};
 pub use incremental::TouchedTargets;
 pub use params::{paper_suite_params, DesignParams, Windowing};
 pub use phase2::Preprocessed;
-pub use phase3::{
-    synthesize, synthesize_heuristic, synthesize_heuristic_cancellable_with, ProbeScheduler,
-    SynthesisEngine, SynthesisOutcome,
-};
+pub use phase3::{synthesize_heuristic, ProbeScheduler, SynthesisEngine, SynthesisOutcome};
 pub use phase4::{QosReport, QosStream, Validation};
 pub use pipeline::{
     AnalysisArtifact, AnalysisKey, Analyzed, BaselineSet, Collected, CollectionKey, Evaluation,

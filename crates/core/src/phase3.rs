@@ -10,17 +10,26 @@
 //!    `maxov`, the maximum aggregate pairwise overlap on any single bus
 //!    (Eq. 11), which is what reduces average and peak latency.
 //!
+//! There is one exact solve path, [`ProbeScheduler::synthesize`], and one
+//! heuristic path, [`synthesize_heuristic`]. Both take a cooperative
+//! [`CancelToken`]; callers that never cancel pass a fresh root token
+//! (the [`crate::synthesizer::Synthesizer::synthesize`] convenience does
+//! exactly that). A width-1 scheduler *is* the sequential binary search:
+//! it solves each consumed probe inline, with no speculation and no
+//! threads, and wider schedulers replay that search bit for bit.
+//!
 //! Every feasibility probe runs on the word-parallel bitset conflict
 //! graph produced by phase 2 (see [`stbus_traffic::ConflictGraph`] and
 //! [`stbus_milp::binding`]), the binary search starts from the
 //! greedy-coloring clique bound, and the exact DFS prunes with the
 //! admissible per-node lower bounds of [`stbus_milp::bounds`]
-//! (clique-cover + bandwidth-packing + forced-assignment propagation,
-//! level set by [`stbus_milp::SolveLimits::pruning`] in
-//! [`DesignParams::solve_limits`]) — the changes that let phase 3 scale
-//! to SoCs several times larger than the paper suite: the full exact
-//! pipeline now completes at 32 targets, where the unpruned search blows
-//! its node budget.
+//! (clique-cover + bandwidth-packing + forced-assignment propagation) —
+//! the changes that let phase 3 scale to SoCs several times larger than
+//! the paper suite: the full exact pipeline now completes at 32 targets,
+//! where the unpruned search blows its node budget. The
+//! `{pruning} × {search}` solver knobs live in one place,
+//! [`DesignParams::solve_limits`] ([`DesignParams::with_pruning`],
+//! [`DesignParams::with_search`]).
 
 use crate::exec::{self, CancelToken};
 use crate::params::DesignParams;
@@ -123,166 +132,102 @@ impl SynthesisOutcome {
     }
 }
 
-/// Synthesises the minimum crossbar and its optimal binding.
-///
-/// # Errors
-///
-/// Propagates [`NodeLimitExceeded`] if the exact solver exhausts its
-/// node budget (raise [`DesignParams::solve_limits`] for pathological
-/// instances).
-pub fn synthesize(
-    pre: &Preprocessed,
+/// Assembles an outcome from a binding at `num_buses`.
+fn outcome(
     params: &DesignParams,
-) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-    let n = pre.stats.num_targets();
-    if n == 0 {
-        return Ok(SynthesisOutcome {
-            config: CrossbarConfig::from_assignment(Vec::new(), 1)
-                .expect("empty assignment is valid"),
-            binding: Binding::from_assignment(Vec::new()),
-            num_buses: 1,
-            lower_bound: 1,
-            probes: Vec::new(),
-            max_bus_overlap: 0,
-            engine: SynthesisEngine::Exact,
-            stats: SearchStats::default(),
-        });
-    }
-
-    // Binary search the minimum feasible bus count in [lb, n]. A full
-    // crossbar (one bus per target) is always feasible because the window
-    // analysis guarantees comm(i,m) ≤ WS.
-    let mut lo = pre.bus_lower_bound();
-    let mut hi = n;
-    let mut probes = Vec::new();
-    let mut stats = SearchStats::default();
-    let mut best_feasible: Option<(usize, Binding)> = None;
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let problem = pre.binding_problem(mid);
-        let (feasible, probe_stats) = problem.find_feasible_stats(&params.solve_limits)?;
-        stats.absorb(probe_stats);
-        match feasible {
-            Some(binding) => {
-                probes.push((mid, true));
-                best_feasible = Some((mid, binding));
-                hi = mid;
-            }
-            None => {
-                probes.push((mid, false));
-                lo = mid + 1;
-            }
-        }
-    }
-    let num_buses = lo;
-
-    // MILP-2: optimal binding at the minimum size.
-    let problem = pre.binding_problem(num_buses);
-    let binding = match problem.optimize(&params.solve_limits)? {
-        Some(b) => b,
-        None => {
-            // lo == hi == n and the loop never probed n: fall back to the
-            // last feasible probe or the trivially feasible full binding.
-            match best_feasible {
-                Some((buses, b)) if buses == num_buses => b,
-                _ => {
-                    let full: Vec<usize> = (0..n).collect();
-                    Binding::from_assignment(full)
-                }
-            }
-        }
-    };
-
+    binding: Binding,
+    num_buses: usize,
+    lower_bound: usize,
+    probes: Vec<(usize, bool)>,
+    engine: SynthesisEngine,
+    stats: SearchStats,
+) -> SynthesisOutcome {
     let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), num_buses)
         .expect("solver produced a valid assignment")
         .with_arbitration(params.arbitration);
-    let max_bus_overlap = binding.max_bus_overlap();
-    Ok(SynthesisOutcome {
+    SynthesisOutcome {
         config,
-        num_buses,
-        lower_bound: pre.bus_lower_bound(),
-        probes,
+        max_bus_overlap: binding.max_bus_overlap(),
         binding,
-        max_bus_overlap,
-        engine: SynthesisEngine::Exact,
+        num_buses,
+        lower_bound,
+        probes,
+        engine,
         stats,
-    })
+    }
 }
 
-/// Heuristic variant of the synthesis phase: scans bus counts upward from
-/// the lower bound using the greedy + local-search solver of
-/// [`stbus_milp::heuristic`]. Polynomial time, but without optimality or
-/// infeasibility proofs — intended for large design-space sweeps where the
-/// exact search is too slow; the `solver_ablation` experiment quantifies
-/// the quality gap (none, on the paper suites).
+/// The design of a system without targets: one (empty) bus, no probes.
+fn empty_outcome() -> SynthesisOutcome {
+    SynthesisOutcome {
+        config: CrossbarConfig::from_assignment(Vec::new(), 1).expect("empty assignment is valid"),
+        binding: Binding::from_assignment(Vec::new()),
+        num_buses: 1,
+        lower_bound: 1,
+        probes: Vec::new(),
+        max_bus_overlap: 0,
+        engine: SynthesisEngine::Exact,
+        stats: SearchStats::default(),
+    }
+}
+
+/// The full crossbar (one bus per target), always feasible because the
+/// window analysis guarantees `comm(i,m) ≤ WS`.
+fn full_binding(n: usize) -> Binding {
+    Binding::from_assignment((0..n).collect())
+}
+
+/// Heuristic synthesis: scans bus counts upward from the lower bound
+/// using the greedy + local-search solver of [`stbus_milp::heuristic`].
+/// Polynomial time, but without optimality or infeasibility proofs —
+/// intended for large design-space sweeps where the exact search is too
+/// slow; the `solver_ablation` experiment quantifies the quality gap
+/// (none, on the paper suites).
 ///
-/// # Errors
-///
-/// Never fails with the default heuristic options; the `Result` mirrors
-/// [`synthesize`] so callers can swap the two paths freely.
+/// `None` means `cancel` was raised: the scan stops between bus counts
+/// and the annealer aborts mid-repair.
+#[must_use]
 pub fn synthesize_heuristic(
     pre: &Preprocessed,
     params: &DesignParams,
-) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-    synthesize_heuristic_with(pre, params, &HeuristicOptions::default())
-}
-
-/// [`synthesize_heuristic`] with explicit [`HeuristicOptions`] — the entry
-/// point [`crate::synthesizer::Heuristic`] plumbs its options through.
-///
-/// # Errors
-///
-/// Never fails; the `Result` mirrors [`synthesize`].
-pub fn synthesize_heuristic_with(
-    pre: &Preprocessed,
-    params: &DesignParams,
     options: &HeuristicOptions,
-) -> Result<SynthesisOutcome, NodeLimitExceeded> {
+    cancel: &CancelToken,
+) -> Option<SynthesisOutcome> {
     let n = pre.stats.num_targets();
     if n == 0 {
-        return synthesize(pre, params);
+        return Some(empty_outcome());
     }
     let lower_bound = pre.bus_lower_bound();
     let mut probes = Vec::new();
+    let mut found = None;
     for buses in lower_bound..=n {
+        if cancel.is_cancelled() {
+            return None;
+        }
         let problem = pre.binding_problem(buses);
-        match stbus_milp::solve_heuristic(&problem, options) {
+        match stbus_milp::solve_heuristic_cancellable(&problem, options, cancel) {
             Some(binding) => {
                 probes.push((buses, true));
-                let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), buses)
-                    .expect("heuristic produced a valid assignment")
-                    .with_arbitration(params.arbitration);
-                let max_bus_overlap = binding.max_bus_overlap();
-                return Ok(SynthesisOutcome {
-                    config,
-                    num_buses: buses,
-                    lower_bound,
-                    probes,
-                    binding,
-                    max_bus_overlap,
-                    engine: SynthesisEngine::Heuristic,
-                    stats: SearchStats::default(),
-                });
+                found = Some((buses, binding));
+                break;
             }
+            // `None` is "no witness" *or* "cancelled mid-anneal";
+            // disambiguate before recording an infeasibility verdict.
+            None if cancel.is_cancelled() => return None,
             None => probes.push((buses, false)),
         }
     }
     // The full crossbar always fits; greedy construction cannot miss it.
-    let full: Vec<usize> = (0..n).collect();
-    let binding = Binding::from_assignment(full);
-    let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), n)
-        .expect("full binding valid")
-        .with_arbitration(params.arbitration);
-    Ok(SynthesisOutcome {
-        config,
-        num_buses: n,
+    let (buses, binding) = found.unwrap_or_else(|| (n, full_binding(n)));
+    Some(outcome(
+        params,
+        binding,
+        buses,
         lower_bound,
         probes,
-        binding,
-        max_bus_overlap: 0,
-        engine: SynthesisEngine::Heuristic,
-        stats: SearchStats::default(),
-    })
+        SynthesisEngine::Heuristic,
+        SearchStats::default(),
+    ))
 }
 
 /// One resolved feasibility probe held in the scheduler's cache.
@@ -298,11 +243,13 @@ struct ProbeOutcome {
     stats: SearchStats,
 }
 
-/// Parallel feasibility-probe scheduler for the MILP-1 binary search —
-/// same answers as [`synthesize`], less wall-clock.
+/// The exact phase-3 solver: the MILP-1 binary search, optionally with
+/// speculative parallel probes, followed by MILP-2 at the minimum size.
 ///
-/// The binary search of [`synthesize`] probes one bus count at a time,
-/// yet the probe at `mid` only ever leads to two possible follow-ups: the
+/// At width 1 the scheduler is the plain sequential binary search: each
+/// consumed probe is solved inline, no speculation, no threads. The
+/// sequential search probes one bus count at a time, yet the probe at
+/// `mid` only ever leads to two possible follow-ups: the
 /// midpoint of `[lo, mid]` if feasible, of `[mid+1, hi]` if not. All
 /// candidate probes in the next few levels of that decision tree are
 /// **independent** solver calls, so the scheduler submits a speculative
@@ -316,7 +263,7 @@ struct ProbeOutcome {
 /// * the replay consumes exactly the probes the sequential search would
 ///   have executed, in the same order, so [`SynthesisOutcome::probes`],
 ///   the chosen size and the final MILP-2 binding are **bit-identical**
-///   to [`synthesize`] — the `probe_scheduler` equivalence suite proves
+///   to the width-1 search — the `probe_scheduler` equivalence suite proves
 ///   it on the paper workloads and on random instances;
 /// * speculative probes the replay never consumes are discarded, errors
 ///   included, so node-budget behaviour matches the sequential search.
@@ -364,12 +311,6 @@ impl ProbeScheduler {
         self
     }
 
-    /// The speculation width.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs.get()
-    }
-
     /// The probes the search *could* reach from the interval `[lo, hi)`,
     /// breadth-first with the certain next probe first, skipping `known`
     /// ones — capped at the `jobs` width so speculation never outruns
@@ -408,39 +349,13 @@ impl ProbeScheduler {
         Self::reachable(mid + 1, hi, out);
     }
 
-    /// Solves one feasibility probe sequentially: heuristic pre-pass
-    /// first when racing, exact search otherwise.
+    /// Solves one feasibility probe under `cancel`: heuristic pre-pass
+    /// first when racing, exact search otherwise. `None` means the probe
+    /// was cancelled (its answer became unreachable, or the request went
+    /// away) — the result is dropped, never consumed. In raced mode the
+    /// heuristic pre-pass itself is cancellable, so an abandoned probe
+    /// stops mid-anneal instead of finishing a repair nobody reads.
     fn probe(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-        buses: usize,
-    ) -> Result<ProbeOutcome, NodeLimitExceeded> {
-        let problem = pre.binding_problem(buses);
-        if let Some(options) = &self.race {
-            if let Some(binding) = stbus_milp::solve_heuristic(&problem, options) {
-                return Ok(ProbeOutcome {
-                    feasible: Some(binding),
-                    exact: false,
-                    stats: SearchStats::default(),
-                });
-            }
-        }
-        problem
-            .find_feasible_stats(&params.solve_limits)
-            .map(|(feasible, stats)| ProbeOutcome {
-                feasible,
-                exact: true,
-                stats,
-            })
-    }
-
-    /// Task-side probe with a cooperative [`CancelToken`]. `None` means
-    /// the probe was cancelled (its answer became unreachable) — the
-    /// result is dropped, never consumed. In raced mode the heuristic
-    /// pre-pass itself is cancellable, so an abandoned probe stops
-    /// mid-anneal instead of finishing a repair nobody reads.
-    fn probe_cancellable(
         &self,
         pre: &Preprocessed,
         params: &DesignParams,
@@ -473,27 +388,11 @@ impl ProbeScheduler {
         }
     }
 
-    /// The sequential replay core: the exact binary search of
-    /// [`synthesize`], with probe answers supplied by `resolve`.
+    /// The sequential binary search over `[lower_bound, n)`, with probe
+    /// answers supplied by `resolve`. A `resolve` returning `None` (the
+    /// probe's answer was abandoned because the request driving the
+    /// search went away) aborts the search, which then reports `Ok(None)`.
     fn binary_search(
-        lower_bound: usize,
-        n: usize,
-        mut resolve: impl FnMut(usize, usize, usize) -> ProbeResult,
-    ) -> Result<SearchSummary, NodeLimitExceeded> {
-        Ok(
-            Self::binary_search_cancellable(lower_bound, n, |lo, hi, mid| {
-                Some(resolve(lo, hi, mid))
-            })?
-            .expect("an always-Some resolver never cancels the search"),
-        )
-    }
-
-    /// [`ProbeScheduler::binary_search`] with a cancellation escape
-    /// hatch: a `resolve` returning `None` (the probe's answer was
-    /// abandoned because the *request* driving the search went away)
-    /// aborts the replay, and the whole search reports `Ok(None)`. An
-    /// always-`Some` resolver reduces this to the plain replay.
-    fn binary_search_cancellable(
         lower_bound: usize,
         n: usize,
         mut resolve: impl FnMut(usize, usize, usize) -> Option<ProbeResult>,
@@ -541,28 +440,27 @@ impl ProbeScheduler {
     /// while it waits — on a saturated executor it solves probes itself,
     /// so the scheduler can never be starved by other scopes.
     ///
-    /// With `external` set, every probe task runs under a token *linked*
-    /// to that external authority ([`CancelToken::child_linked`]) and the
-    /// replay polls it between probes: cancelling the external token —
-    /// e.g. a gateway request whose client hung up — abandons the whole
-    /// speculative wave mid-solve and the search reports `Ok(None)`.
+    /// Every probe task runs under a token *linked* to `cancel`
+    /// ([`CancelToken::child_linked`]) and the replay polls it between
+    /// probes: raising `cancel` — e.g. a gateway request whose client hung
+    /// up — abandons the whole speculative wave mid-solve and the search
+    /// reports `Ok(None)`.
     fn parallel_search(
         &self,
         pre: &Preprocessed,
         params: &DesignParams,
         lower_bound: usize,
         n: usize,
-        external: Option<&CancelToken>,
+        cancel: &CancelToken,
     ) -> Result<Option<SearchSummary>, NodeLimitExceeded> {
-        let request = external.cloned();
         exec::scope(|s: &exec::TaskScope<'_, '_, Option<ProbeResult>>| {
             // Bus count → task index of its (possibly finished) probe.
             // Tasks are never removed: a cancelled probe's bus count is
             // unreachable forever (intervals only narrow), so it can
             // never be proposed or consumed again.
             let mut task_of: HashMap<usize, usize> = HashMap::new();
-            let summary = Self::binary_search_cancellable(lower_bound, n, |lo, hi, mid| {
-                if request.as_ref().is_some_and(CancelToken::is_cancelled) {
+            let summary = Self::binary_search(lower_bound, n, |lo, hi, mid| {
+                if cancel.is_cancelled() {
                     return None;
                 }
                 // Prune work this interval can no longer consume: cancel
@@ -577,13 +475,8 @@ impl ProbeScheduler {
                 // Top the frontier up to the speculation budget.
                 let known: HashSet<usize> = task_of.keys().copied().collect();
                 for buses in self.wave(lo, hi, &known) {
-                    let req = request.clone();
                     let task = s.submit(move |token| {
-                        let token = match &req {
-                            Some(req) => token.child_linked(req),
-                            None => token.clone(),
-                        };
-                        self.probe_cancellable(pre, params, buses, &token)
+                        self.probe(pre, params, buses, &token.child_linked(cancel))
                     });
                     task_of.insert(buses, task);
                 }
@@ -595,9 +488,7 @@ impl ProbeScheduler {
                 // it before deeper speculation — a scheduling hint only,
                 // results are bit-identical (claim-once tickets). The
                 // replay never cancels a probe still in the reachable
-                // set, so without an external token the slot cannot hold
-                // the cancellation marker; a `None` here means the
-                // external authority went away.
+                // set, so a `None` here means `cancel` was raised.
                 s.promote(task_of[&mid]);
                 s.take(task_of[&mid])
             });
@@ -608,91 +499,20 @@ impl ProbeScheduler {
         })
     }
 
-    /// Synthesises the minimum crossbar and its optimal binding —
-    /// bit-identical to [`synthesize`], with the feasibility probes
-    /// solved speculatively in parallel.
+    /// Synthesises the minimum crossbar and its optimal binding under a
+    /// cooperative [`CancelToken`]: `Ok(None)` means the token was raised
+    /// and the synthesis was abandoned — speculative probes stop
+    /// mid-solve and MILP-2 aborts at its next poll checkpoint. Callers
+    /// that never cancel pass `&CancelToken::new()`.
     ///
     /// # Errors
     ///
-    /// Propagates [`NodeLimitExceeded`] exactly when the sequential
-    /// search would: from a probe the replay consumes, or from the final
+    /// [`NodeLimitExceeded`] if the exact solver exhausts its node budget
+    /// (raise [`DesignParams::solve_limits`] for pathological instances):
+    /// from a probe the sequential search consumes, or from the final
     /// MILP-2 optimisation. Errors of discarded speculative probes are
-    /// dropped with them.
+    /// dropped with them, so every width fails exactly when width 1 does.
     pub fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        let n = pre.stats.num_targets();
-        if n == 0 {
-            return synthesize(pre, params);
-        }
-
-        let lower_bound = pre.bus_lower_bound();
-        let summary = if self.jobs.get() <= 1 {
-            // No speculation requested: solve each consumed probe inline.
-            Self::binary_search(lower_bound, n, |_, _, mid| self.probe(pre, params, mid))
-        } else {
-            self.parallel_search(pre, params, lower_bound, n, None)
-                .map(|summary| summary.expect("search without a token never cancels"))
-        }?;
-        let SearchSummary {
-            num_buses,
-            probes,
-            best_feasible,
-            stats,
-        } = summary;
-
-        // MILP-2 at the minimum size, with the same fallback ladder as the
-        // sequential search. A heuristic-won probe does not carry the
-        // binding the sequential search's probe produced, so that corner
-        // re-runs the (deterministic) exact probe to stay bit-identical.
-        let problem = pre.binding_problem(num_buses);
-        let binding = match problem.optimize(&params.solve_limits)? {
-            Some(b) => b,
-            None => match best_feasible {
-                Some((buses, b, true)) if buses == num_buses => b,
-                Some((buses, _, false)) if buses == num_buses => {
-                    match problem.find_feasible(&params.solve_limits)? {
-                        Some(b) => b,
-                        None => unreachable!("probe certified this size feasible"),
-                    }
-                }
-                _ => {
-                    let full: Vec<usize> = (0..n).collect();
-                    Binding::from_assignment(full)
-                }
-            },
-        };
-
-        let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), num_buses)
-            .expect("solver produced a valid assignment")
-            .with_arbitration(params.arbitration);
-        let max_bus_overlap = binding.max_bus_overlap();
-        Ok(SynthesisOutcome {
-            config,
-            num_buses,
-            lower_bound,
-            probes,
-            binding,
-            max_bus_overlap,
-            engine: SynthesisEngine::Exact,
-            stats,
-        })
-    }
-
-    /// [`ProbeScheduler::synthesize`] under a cooperative per-request
-    /// [`CancelToken`]: `Ok(None)` means the token was raised and the
-    /// synthesis was abandoned — speculative probes stop mid-solve
-    /// (their task tokens are [linked](CancelToken::child_linked) to the
-    /// request token) and MILP-2 aborts at its next poll checkpoint. An
-    /// un-cancelled run is **bit-identical** to
-    /// [`ProbeScheduler::synthesize`] at the same speculation width.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeLimitExceeded`] exactly as [`ProbeScheduler::synthesize`].
-    pub fn synthesize_cancellable(
         &self,
         pre: &Preprocessed,
         params: &DesignParams,
@@ -700,23 +520,26 @@ impl ProbeScheduler {
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
         let n = pre.stats.num_targets();
         if n == 0 {
-            return synthesize(pre, params).map(Some);
+            return Ok(Some(empty_outcome()));
         }
         if cancel.is_cancelled() {
             return Ok(None);
         }
 
+        // Binary search the minimum feasible bus count in [lb, n]; the
+        // full crossbar at `n` is always feasible.
         let lower_bound = pre.bus_lower_bound();
         let summary = if self.jobs.get() <= 1 {
-            // Inline probes, each polling the request token as it solves.
-            Self::binary_search_cancellable(lower_bound, n, |_, _, mid| {
+            // No speculation: solve each consumed probe inline, polling
+            // the token as it solves.
+            Self::binary_search(lower_bound, n, |_, _, mid| {
                 if cancel.is_cancelled() {
                     return None;
                 }
-                self.probe_cancellable(pre, params, mid, cancel)
+                self.probe(pre, params, mid, cancel)
             })
         } else {
-            self.parallel_search(pre, params, lower_bound, n, Some(cancel))
+            self.parallel_search(pre, params, lower_bound, n, cancel)
         }?;
         let Some(SearchSummary {
             num_buses,
@@ -728,117 +551,38 @@ impl ProbeScheduler {
             return Ok(None);
         };
 
-        // MILP-2 with the same fallback ladder as `synthesize`, every
-        // rung polling the request token.
+        // MILP-2: optimal binding at the minimum size, every rung of the
+        // fallback ladder polling the token. `lo == hi == n` with `n`
+        // never probed falls back to the last feasible probe or the
+        // trivially feasible full binding. A heuristic-won probe does not
+        // carry the binding the exact probe would have produced, so that
+        // corner re-runs the (deterministic) exact probe.
         let problem = pre.binding_problem(num_buses);
-        let binding = match problem.optimize_cancellable(&params.solve_limits, cancel) {
-            Ok(Some(b)) => b,
-            Ok(None) => match best_feasible {
-                Some((buses, b, true)) if buses == num_buses => b,
-                Some((buses, _, false)) if buses == num_buses => {
-                    match problem.find_feasible_cancellable(&params.solve_limits, cancel) {
-                        Ok(Some(b)) => b,
-                        Ok(None) => unreachable!("probe certified this size feasible"),
-                        Err(SearchInterrupted::Budget(e)) => return Err(e),
-                        Err(SearchInterrupted::Cancelled) => return Ok(None),
-                    }
-                }
-                _ => {
-                    let full: Vec<usize> = (0..n).collect();
-                    Binding::from_assignment(full)
-                }
-            },
+        let optimized = problem
+            .optimize_cancellable(&params.solve_limits, cancel)
+            .and_then(|best| match (best, best_feasible) {
+                (Some(b), _) => Ok(b),
+                (None, Some((buses, b, true))) if buses == num_buses => Ok(b),
+                (None, Some((buses, _, false))) if buses == num_buses => problem
+                    .find_feasible_stats_cancellable(&params.solve_limits, cancel)
+                    .map(|(b, _)| b.expect("probe certified this size feasible")),
+                (None, _) => Ok(full_binding(n)),
+            });
+        let binding = match optimized {
+            Ok(binding) => binding,
             Err(SearchInterrupted::Budget(e)) => return Err(e),
             Err(SearchInterrupted::Cancelled) => return Ok(None),
         };
-
-        let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), num_buses)
-            .expect("solver produced a valid assignment")
-            .with_arbitration(params.arbitration);
-        let max_bus_overlap = binding.max_bus_overlap();
-        Ok(Some(SynthesisOutcome {
-            config,
+        Ok(Some(outcome(
+            params,
+            binding,
             num_buses,
             lower_bound,
             probes,
-            binding,
-            max_bus_overlap,
-            engine: SynthesisEngine::Exact,
+            SynthesisEngine::Exact,
             stats,
-        }))
+        )))
     }
-}
-
-/// [`synthesize_heuristic_with`] under a cooperative per-request
-/// [`CancelToken`]: `Ok(None)` means the token was raised — the upward
-/// scan stops between bus counts and the annealer aborts mid-repair. An
-/// un-cancelled run is bit-identical to [`synthesize_heuristic_with`].
-///
-/// # Errors
-///
-/// Never fails; the `Result` mirrors [`synthesize`] so strategy code can
-/// swap the engines freely.
-pub fn synthesize_heuristic_cancellable_with(
-    pre: &Preprocessed,
-    params: &DesignParams,
-    options: &HeuristicOptions,
-    cancel: &CancelToken,
-) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-    let n = pre.stats.num_targets();
-    if n == 0 {
-        return synthesize(pre, params).map(Some);
-    }
-    let lower_bound = pre.bus_lower_bound();
-    let mut probes = Vec::new();
-    for buses in lower_bound..=n {
-        if cancel.is_cancelled() {
-            return Ok(None);
-        }
-        let problem = pre.binding_problem(buses);
-        match stbus_milp::solve_heuristic_cancellable(&problem, options, cancel) {
-            Some(binding) => {
-                probes.push((buses, true));
-                let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), buses)
-                    .expect("heuristic produced a valid assignment")
-                    .with_arbitration(params.arbitration);
-                let max_bus_overlap = binding.max_bus_overlap();
-                return Ok(Some(SynthesisOutcome {
-                    config,
-                    num_buses: buses,
-                    lower_bound,
-                    probes,
-                    binding,
-                    max_bus_overlap,
-                    engine: SynthesisEngine::Heuristic,
-                    stats: SearchStats::default(),
-                }));
-            }
-            None => {
-                // `None` is "no witness" *or* "cancelled mid-anneal";
-                // disambiguate before recording an infeasibility verdict.
-                if cancel.is_cancelled() {
-                    return Ok(None);
-                }
-                probes.push((buses, false));
-            }
-        }
-    }
-    // The full crossbar always fits; greedy construction cannot miss it.
-    let full: Vec<usize> = (0..n).collect();
-    let binding = Binding::from_assignment(full);
-    let config = CrossbarConfig::from_assignment(binding.assignment().to_vec(), n)
-        .expect("full binding valid")
-        .with_arbitration(params.arbitration);
-    Ok(Some(SynthesisOutcome {
-        config,
-        num_buses: n,
-        lower_bound,
-        probes,
-        binding,
-        max_bus_overlap: 0,
-        engine: SynthesisEngine::Heuristic,
-        stats: SearchStats::default(),
-    }))
 }
 
 type ProbeResult = Result<ProbeOutcome, NodeLimitExceeded>;
@@ -866,6 +610,32 @@ mod tests {
 
     fn pre_of(trace: &Trace, p: &DesignParams) -> Preprocessed {
         Preprocessed::analyze(trace, p)
+    }
+
+    /// The sequential reference: a width-1 scheduler under a root token.
+    fn synthesize(
+        pre: &Preprocessed,
+        p: &DesignParams,
+    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
+        scheduled(ProbeScheduler::new(NonZeroUsize::MIN), pre, p)
+    }
+
+    fn scheduled(
+        scheduler: ProbeScheduler,
+        pre: &Preprocessed,
+        p: &DesignParams,
+    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
+        scheduler
+            .synthesize(pre, p, &CancelToken::new())
+            .map(|o| o.expect("a root token is never raised"))
+    }
+
+    fn heuristic(
+        pre: &Preprocessed,
+        p: &DesignParams,
+        cancel: &CancelToken,
+    ) -> Option<SynthesisOutcome> {
+        synthesize_heuristic(pre, p, &HeuristicOptions::default(), cancel)
     }
 
     #[test]
@@ -1003,7 +773,7 @@ mod tests {
         let collected = crate::phase1::collect(&app, &p);
         let pre = pre_of(&collected.it_trace, &p);
         let exact = synthesize(&pre, &p).unwrap();
-        let heuristic = synthesize_heuristic(&pre, &p).unwrap();
+        let heuristic = heuristic(&pre, &p, &CancelToken::new()).unwrap();
         assert_eq!(heuristic.num_buses, exact.num_buses);
         // The heuristic's objective must verify and stay close to optimal.
         let problem = pre.binding_problem(heuristic.num_buses);
@@ -1046,39 +816,37 @@ mod tests {
         let sequential = synthesize(&pre, &p).unwrap();
         for jobs in [1usize, 2, 4, 16] {
             let jobs = NonZeroUsize::new(jobs).unwrap();
-            let plain = ProbeScheduler::new(jobs).synthesize(&pre, &p).unwrap();
+            let plain = scheduled(ProbeScheduler::new(jobs), &pre, &p).unwrap();
             assert_same_outcome("plain", &plain, &sequential);
-            let raced = ProbeScheduler::new(jobs)
-                .with_race(HeuristicOptions::default())
-                .synthesize(&pre, &p)
-                .unwrap();
+            let raced = ProbeScheduler::new(jobs).with_race(HeuristicOptions::default());
+            let raced = scheduled(raced, &pre, &p).unwrap();
             assert_same_outcome("raced", &raced, &sequential);
         }
     }
 
     #[test]
     fn cancellable_paths_match_plain_when_uncancelled() {
+        // A live, un-raised request token (a child of the gateway's
+        // request root) leaves every path identical to the root-token run.
         let app = stbus_traffic::workloads::matrix::mat2(29);
         let p = DesignParams::default().with_overlap_threshold(0.15);
         let collected = crate::phase1::collect(&app, &p);
         let pre = pre_of(&collected.it_trace, &p);
-        let token = CancelToken::new();
+        let request = CancelToken::new().child();
 
         let plain_exact = synthesize(&pre, &p).unwrap();
         for jobs in [1usize, 4] {
             let scheduler = ProbeScheduler::new(NonZeroUsize::new(jobs).unwrap());
             let cancellable = scheduler
-                .synthesize_cancellable(&pre, &p, &token)
+                .synthesize(&pre, &p, &request)
                 .unwrap()
                 .expect("un-cancelled token never aborts");
             assert_same_outcome("cancellable exact", &cancellable, &plain_exact);
         }
 
-        let plain_heur = synthesize_heuristic(&pre, &p).unwrap();
+        let plain_heur = heuristic(&pre, &p, &CancelToken::new()).unwrap();
         let cancellable_heur =
-            synthesize_heuristic_cancellable_with(&pre, &p, &HeuristicOptions::default(), &token)
-                .unwrap()
-                .expect("un-cancelled token never aborts");
+            heuristic(&pre, &p, &request).expect("un-cancelled token never aborts");
         assert_same_outcome("cancellable heuristic", &cancellable_heur, &plain_heur);
     }
 
@@ -1092,19 +860,9 @@ mod tests {
         token.cancel();
         for jobs in [1usize, 4] {
             let scheduler = ProbeScheduler::new(NonZeroUsize::new(jobs).unwrap());
-            assert!(scheduler
-                .synthesize_cancellable(&pre, &p, &token)
-                .unwrap()
-                .is_none());
+            assert!(scheduler.synthesize(&pre, &p, &token).unwrap().is_none());
         }
-        assert!(synthesize_heuristic_cancellable_with(
-            &pre,
-            &p,
-            &HeuristicOptions::default(),
-            &token
-        )
-        .unwrap()
-        .is_none());
+        assert!(heuristic(&pre, &p, &token).is_none());
     }
 
     #[test]
@@ -1137,9 +895,7 @@ mod tests {
     fn scheduler_empty_system() {
         let tr = Trace::new(0, 0);
         let p = params(100, 0.3);
-        let out = ProbeScheduler::available()
-            .synthesize(&pre_of(&tr, &p), &p)
-            .unwrap();
+        let out = scheduled(ProbeScheduler::available(), &pre_of(&tr, &p), &p).unwrap();
         assert_eq!(out.num_buses, 1);
     }
 }

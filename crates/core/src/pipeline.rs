@@ -1,12 +1,11 @@
 //! The staged design pipeline — explicit, reusable artifacts for the four
 //! phases of the methodology.
 //!
-//! [`DesignFlow::run`](crate::DesignFlow::run) bundles all four phases
-//! behind one call, which is convenient but wasteful for design-space
-//! exploration: every parameter point pays the phase-1 full-crossbar
-//! reference simulation again even though the collected traffic does not
-//! depend on the analysis parameters at all. This module splits the flow
-//! into typed stages whose artifacts are cheap to reuse:
+//! Bundling all four phases behind one call would be wasteful for
+//! design-space exploration: every parameter point would pay the phase-1
+//! full-crossbar reference simulation again even though the collected
+//! traffic does not depend on the analysis parameters at all. This module
+//! splits the flow into typed stages whose artifacts are cheap to reuse:
 //!
 //! ```text
 //! Pipeline::collect(&app, &params)   -> Collected      (phase 1, expensive)
@@ -23,13 +22,15 @@
 //! it, so an artifact can never silently be reused across parameters that
 //! would have produced different traffic.
 //!
-//! Solver knobs ride along in [`DesignParams`] untouched by the staging:
-//! in particular [`DesignParams::with_pruning`] selects the per-node
-//! lower-bound pruning level of the exact binding search
-//! ([`stbus_milp::PruningLevel`]), which [`Analyzed::synthesize`] hands to
-//! whatever strategy is plugged in — the default `Standard` level is
-//! proven bit-identical to the unpruned search, so staged, legacy and
-//! batch routes stay equivalent at every level that claims identity.
+//! Solver knobs ride along in [`DesignParams`] untouched by the staging,
+//! and this is the only place they live: [`DesignParams::with_pruning`]
+//! selects the per-node lower-bound pruning level of the exact binding
+//! search ([`stbus_milp::PruningLevel`]) and [`DesignParams::with_search`]
+//! its search engine ([`stbus_milp::SearchLevel`]), which
+//! [`Analyzed::synthesize`] hands to whatever strategy is plugged in — the
+//! default `Standard` level is proven bit-identical to the unpruned
+//! search, so staged and batch routes stay equivalent at every level that
+//! claims identity.
 //!
 //! # Example
 //!
@@ -606,21 +607,15 @@ impl<'a> Analyzed<'a> {
     /// its node budget (the [`crate::synthesizer::Portfolio`] strategy
     /// never does — it falls back to the heuristic).
     pub fn synthesize(&self, strategy: &dyn Synthesizer) -> Result<Synthesized<'_>, FlowError> {
-        let it = strategy.synthesize(&self.pre_it, &self.params)?;
-        let ti = strategy.synthesize(&self.pre_ti, &self.params)?;
-        Ok(Synthesized {
-            analyzed: self,
-            it,
-            ti,
-        })
+        self.synthesize_cancellable(strategy, &stbus_exec::CancelToken::new())
+            .map(|synthesized| synthesized.expect("a root token is never raised"))
     }
 
     /// Phase 3 with cooperative cancellation: `Ok(None)` when `cancel` is
-    /// raised before or during either direction's search, otherwise
-    /// bit-identical to [`Analyzed::synthesize`] (see
-    /// [`Synthesizer::synthesize_cancellable`]). This is what lets a
-    /// service abandon an in-flight design the moment its requester goes
-    /// away instead of finishing a solve nobody will read.
+    /// raised before or during either direction's search
+    /// ([`Analyzed::synthesize`] is this under a root token). This is what
+    /// lets a service abandon an in-flight design the moment its requester
+    /// goes away instead of finishing a solve nobody will read.
     ///
     /// # Errors
     ///

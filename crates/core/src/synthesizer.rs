@@ -16,15 +16,21 @@
 //!
 //! Strategies are plain data (`Sync`), so one instance can drive many
 //! parallel evaluations.
+//!
+//! Every strategy implements one method,
+//! [`Synthesizer::synthesize_cancellable`], over the one exact path
+//! ([`ProbeScheduler::synthesize`]) and the one heuristic path
+//! ([`synthesize_heuristic`]); [`Synthesizer::synthesize`] is the
+//! provided root-token convenience. Solver knobs — node budget,
+//! `{pruning} × {search}` — come from [`DesignParams::solve_limits`]; the
+//! strategies add only what is theirs: an optional node budget override
+//! and the probe parallelism.
 
 use crate::params::DesignParams;
 use crate::phase2::Preprocessed;
-use crate::phase3::{
-    synthesize, synthesize_heuristic_cancellable_with, synthesize_heuristic_with, ProbeScheduler,
-    SynthesisOutcome,
-};
+use crate::phase3::{synthesize_heuristic, ProbeScheduler, SynthesisOutcome};
 use stbus_exec::CancelToken;
-use stbus_milp::{HeuristicOptions, NodeLimitExceeded, PruningLevel, SearchLevel, SolveLimits};
+use stbus_milp::{HeuristicOptions, NodeLimitExceeded, SolveLimits};
 use std::num::NonZeroUsize;
 
 /// A phase-3 solving strategy: turns a preprocessed analysis into a
@@ -33,43 +39,46 @@ pub trait Synthesizer: Sync {
     /// Short human-readable strategy name (used in reports and logs).
     fn name(&self) -> &'static str;
 
-    /// Synthesises the minimum crossbar and its binding.
+    /// Synthesises the minimum crossbar and its binding under a
+    /// cooperative per-request [`CancelToken`]: `Ok(None)` means the
+    /// token was raised and the synthesis was abandoned.
     ///
     /// # Errors
     ///
     /// [`NodeLimitExceeded`] if the underlying exact search exhausts its
     /// node budget and the strategy has no fallback.
-    fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded>;
-
-    /// [`Synthesizer::synthesize`] under a cooperative per-request
-    /// [`CancelToken`]: `Ok(None)` means the token was raised and the
-    /// synthesis was abandoned. An un-cancelled run must be bit-identical
-    /// to `synthesize` — the built-in strategies are, and the gateway's
-    /// bit-identity contract relies on it.
-    ///
-    /// The default implementation only checks the token up front (a
-    /// strategy without cancellable internals still stops before
-    /// starting); the built-in strategies override it with genuinely
-    /// mid-solve cancellation.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeLimitExceeded`] exactly as [`Synthesizer::synthesize`].
     fn synthesize_cancellable(
         &self,
         pre: &Preprocessed,
         params: &DesignParams,
         cancel: &CancelToken,
-    ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-        if cancel.is_cancelled() {
-            return Ok(None);
-        }
-        self.synthesize(pre, params).map(Some)
+    ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded>;
+
+    /// [`Synthesizer::synthesize_cancellable`] under a fresh root token
+    /// nobody can raise.
+    ///
+    /// # Errors
+    ///
+    /// [`NodeLimitExceeded`] exactly as
+    /// [`Synthesizer::synthesize_cancellable`].
+    fn synthesize(
+        &self,
+        pre: &Preprocessed,
+        params: &DesignParams,
+    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
+        self.synthesize_cancellable(pre, params, &CancelToken::new())
+            .map(|outcome| outcome.expect("a root token is never raised"))
     }
+}
+
+/// `params` with `limits`, when set, in place of its own
+/// [`DesignParams::solve_limits`].
+fn params_with_limits(params: &DesignParams, limits: Option<&SolveLimits>) -> DesignParams {
+    let mut p = params.clone();
+    if let Some(limits) = limits {
+        p.solve_limits = limits.clone();
+    }
+    p
 }
 
 /// The exact solver: binary-searched MILP-1 feasibility plus MILP-2
@@ -79,21 +88,12 @@ pub struct Exact {
     /// Overrides [`DesignParams::solve_limits`] when set.
     pub limits: Option<SolveLimits>,
     /// Speculative feasibility-probe parallelism: `None` runs the classic
-    /// sequential binary search; `Some(j)` lets the [`ProbeScheduler`]
-    /// keep waves of up to `j` probes in flight on the process-wide
+    /// sequential binary search (a width-1 [`ProbeScheduler`]); `Some(j)`
+    /// keeps waves of up to `j` probes in flight on the process-wide
     /// executor ([`crate::exec`]). Outcomes are bit-identical either way
     /// (the scheduler replays the sequential search against cached probe
     /// answers), so this is purely a wall-clock knob.
     pub jobs: Option<NonZeroUsize>,
-    /// Overrides the per-node lower-bound pruning level of the exact
-    /// search when set (applied on top of `limits`/the params' own
-    /// [`SolveLimits::pruning`]).
-    pub pruning: Option<PruningLevel>,
-    /// Overrides the search level of the exact search when set
-    /// ([`SearchLevel::Learned`] enables conflict-driven nogood learning
-    /// with the Luby restart portfolio; verdicts match the standard
-    /// engine whenever both complete, bindings may differ).
-    pub search: Option<SearchLevel>,
 }
 
 impl Exact {
@@ -112,51 +112,11 @@ impl Exact {
         self.jobs = Some(jobs);
         self
     }
-
-    /// Exact solving at an explicit pruning level (builder style).
-    #[must_use]
-    pub fn with_pruning(mut self, pruning: PruningLevel) -> Self {
-        self.pruning = Some(pruning);
-        self
-    }
-
-    /// Exact solving at an explicit search level (builder style).
-    #[must_use]
-    pub fn with_search(mut self, search: SearchLevel) -> Self {
-        self.search = Some(search);
-        self
-    }
-
-    fn effective_params(&self, params: &DesignParams) -> DesignParams {
-        let mut p = params.clone();
-        if let Some(limits) = &self.limits {
-            p.solve_limits = limits.clone();
-        }
-        if let Some(pruning) = self.pruning {
-            p.solve_limits.pruning = pruning;
-        }
-        if let Some(search) = self.search {
-            p.solve_limits.search = search;
-        }
-        p
-    }
 }
 
 impl Synthesizer for Exact {
     fn name(&self) -> &'static str {
         "exact"
-    }
-
-    fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        let params = self.effective_params(params);
-        match self.jobs {
-            None => synthesize(pre, &params),
-            Some(jobs) => ProbeScheduler::new(jobs).synthesize(pre, &params),
-        }
     }
 
     fn synthesize_cancellable(
@@ -165,11 +125,8 @@ impl Synthesizer for Exact {
         params: &DesignParams,
         cancel: &CancelToken,
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-        let params = self.effective_params(params);
-        // A width-1 scheduler replays the sequential search probe by
-        // probe, so `jobs: None` keeps its bit-identical sequential path.
-        let jobs = self.jobs.unwrap_or(NonZeroUsize::MIN);
-        ProbeScheduler::new(jobs).synthesize_cancellable(pre, &params, cancel)
+        let params = params_with_limits(params, self.limits.as_ref());
+        ProbeScheduler::new(self.jobs.unwrap_or(NonZeroUsize::MIN)).synthesize(pre, &params, cancel)
     }
 }
 
@@ -194,21 +151,13 @@ impl Synthesizer for Heuristic {
         "heuristic"
     }
 
-    fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        synthesize_heuristic_with(pre, params, &self.options)
-    }
-
     fn synthesize_cancellable(
         &self,
         pre: &Preprocessed,
         params: &DesignParams,
         cancel: &CancelToken,
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-        synthesize_heuristic_cancellable_with(pre, params, &self.options, cancel)
+        Ok(synthesize_heuristic(pre, params, &self.options, cancel))
     }
 }
 
@@ -235,10 +184,6 @@ pub struct Portfolio {
     pub heuristic: HeuristicOptions,
     /// Probe parallelism of the exact attempt; `None` = sequential.
     pub jobs: Option<NonZeroUsize>,
-    /// Overrides the exact attempt's pruning level when set.
-    pub pruning: Option<PruningLevel>,
-    /// Overrides the exact attempt's search level when set.
-    pub search: Option<SearchLevel>,
 }
 
 impl Portfolio {
@@ -257,53 +202,11 @@ impl Portfolio {
         self.jobs = Some(jobs);
         self
     }
-
-    /// Portfolio with an explicit exact-attempt pruning level (builder
-    /// style).
-    #[must_use]
-    pub fn with_pruning(mut self, pruning: PruningLevel) -> Self {
-        self.pruning = Some(pruning);
-        self
-    }
-
-    /// Portfolio with an explicit exact-attempt search level (builder
-    /// style).
-    #[must_use]
-    pub fn with_search(mut self, search: SearchLevel) -> Self {
-        self.search = Some(search);
-        self
-    }
 }
 
 impl Synthesizer for Portfolio {
     fn name(&self) -> &'static str {
         "portfolio"
-    }
-
-    fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        let effective = Exact {
-            limits: self.exact_limits.clone(),
-            jobs: None,
-            pruning: self.pruning,
-            search: self.search,
-        }
-        .effective_params(params);
-        let attempt = match self.jobs {
-            None => synthesize(pre, &effective),
-            Some(jobs) => ProbeScheduler::new(jobs)
-                .with_race(self.heuristic)
-                .synthesize(pre, &effective),
-        };
-        match attempt {
-            Ok(outcome) => Ok(outcome),
-            Err(NodeLimitExceeded { .. }) => {
-                synthesize_heuristic_with(pre, params, &self.heuristic)
-            }
-        }
     }
 
     fn synthesize_cancellable(
@@ -312,23 +215,17 @@ impl Synthesizer for Portfolio {
         params: &DesignParams,
         cancel: &CancelToken,
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-        let effective = Exact {
-            limits: self.exact_limits.clone(),
-            jobs: None,
-            pruning: self.pruning,
-            search: self.search,
-        }
-        .effective_params(params);
-        // Sequential portfolio = unraced width-1 replay (bit-identical to
-        // `synthesize`); parallel portfolio keeps the deterministic race.
+        let effective = params_with_limits(params, self.exact_limits.as_ref());
+        // Sequential portfolio = unraced width-1 search; parallel
+        // portfolio keeps the deterministic race.
         let scheduler = match self.jobs {
             None => ProbeScheduler::new(NonZeroUsize::MIN),
             Some(jobs) => ProbeScheduler::new(jobs).with_race(self.heuristic),
         };
-        match scheduler.synthesize_cancellable(pre, &effective, cancel) {
+        match scheduler.synthesize(pre, &effective, cancel) {
             Ok(outcome) => Ok(outcome),
             Err(NodeLimitExceeded { .. }) => {
-                synthesize_heuristic_cancellable_with(pre, params, &self.heuristic, cancel)
+                Ok(synthesize_heuristic(pre, params, &self.heuristic, cancel))
             }
         }
     }
@@ -346,57 +243,18 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Instantiates the default-configured strategy for this kind.
+    /// Instantiates the strategy for this kind with explicit probe
+    /// parallelism (`None` = sequential) — what the CLI's and the
+    /// gateway's `jobs` knob plumbs through. The heuristic's upward scan
+    /// has no probes to speculate, so `jobs` is ignored there. Pruning
+    /// and search levels travel in [`DesignParams::solve_limits`].
     #[must_use]
-    pub fn synthesizer(self) -> Box<dyn Synthesizer> {
-        self.synthesizer_with_jobs(None)
-    }
-
-    /// Instantiates the strategy with explicit probe parallelism for the
-    /// kinds that search (the heuristic's upward scan has no probes to
-    /// speculate, so `jobs` is ignored there). This is what the CLI's
-    /// `--jobs` flag plumbs through.
-    #[must_use]
-    pub fn synthesizer_with_jobs(self, jobs: Option<NonZeroUsize>) -> Box<dyn Synthesizer> {
-        self.synthesizer_with(jobs, None)
-    }
-
-    /// Instantiates the strategy with explicit probe parallelism and
-    /// pruning level — what the CLI's `--jobs`/`--pruning` flags plumb
-    /// through. Both knobs are ignored by the heuristic (no exact search
-    /// to speculate or prune).
-    #[must_use]
-    pub fn synthesizer_with(
-        self,
-        jobs: Option<NonZeroUsize>,
-        pruning: Option<PruningLevel>,
-    ) -> Box<dyn Synthesizer> {
-        self.synthesizer_full(jobs, pruning, None)
-    }
-
-    /// Instantiates the strategy with every CLI-exposed solver knob:
-    /// probe parallelism, pruning level, and search level
-    /// (`--jobs`/`--pruning`/`--search`). All three are ignored by the
-    /// heuristic (no exact search to speculate, prune, or learn in).
-    #[must_use]
-    pub fn synthesizer_full(
-        self,
-        jobs: Option<NonZeroUsize>,
-        pruning: Option<PruningLevel>,
-        search: Option<SearchLevel>,
-    ) -> Box<dyn Synthesizer> {
+    pub fn synthesizer(self, jobs: Option<NonZeroUsize>) -> Box<dyn Synthesizer> {
         match self {
-            SolverKind::Exact => Box::new(Exact {
-                limits: None,
-                jobs,
-                pruning,
-                search,
-            }),
+            SolverKind::Exact => Box::new(Exact { limits: None, jobs }),
             SolverKind::Heuristic => Box::new(Heuristic::default()),
             SolverKind::Portfolio => Box::new(Portfolio {
                 jobs,
-                pruning,
-                search,
                 ..Portfolio::default()
             }),
         }
@@ -494,7 +352,7 @@ mod tests {
             ("portfolio", SolverKind::Portfolio),
         ] {
             assert_eq!(text.parse::<SolverKind>().unwrap(), kind);
-            assert_eq!(kind.synthesizer().name(), text);
+            assert_eq!(kind.synthesizer(None).name(), text);
         }
         assert!("cplex".parse::<SolverKind>().is_err());
     }

@@ -8,9 +8,16 @@
 //! `SynthesisOutcome::to_json`, `DesignReport::paper_row_json`). Only
 //! what request bodies need is implemented: the full value grammar of
 //! RFC 8259 minus extreme numeric edge cases (numbers parse through
-//! `f64`), with `\uXXXX` escapes and surrogate pairs.
+//! `f64`), with `\uXXXX` escapes and surrogate pairs. Nesting is capped
+//! at [`MAX_DEPTH`] containers, so a hostile body of brackets is a parse
+//! error instead of a stack overflow in the recursive descent.
 
 use std::fmt;
+
+/// The deepest container nesting [`parse`] accepts. Request bodies nest
+/// three levels at most; the cap only has to stop a recursion that would
+/// otherwise overflow a connection thread's stack.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,6 +123,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -129,6 +137,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -169,8 +179,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -179,6 +189,21 @@ impl Parser<'_> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -407,6 +432,24 @@ mod tests {
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1e300").unwrap().as_u64(), None);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count toward the same cap.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // An unbalanced flood of brackets is an error, not a stack overflow.
+        assert!(parse(&"[".repeat(500_000)).is_err());
     }
 
     #[test]

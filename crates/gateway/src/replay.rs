@@ -130,11 +130,7 @@ impl ReplayEngine {
             // out by `is_replayable` before the engine is invoked.
             return Ok(None);
         };
-        let strategy = request.solver.synthesizer_full(
-            self.jobs_for(request.jobs),
-            request.pruning,
-            request.search,
-        );
+        let strategy = request.solver.synthesizer(self.jobs_for(request.jobs));
         let solver = request.solver.to_string();
         let app = Arc::new(spec.build());
         let front = CachedAnalysis::build_with(
@@ -170,8 +166,6 @@ impl ReplayEngine {
                 app: Arc::clone(&app),
                 params: request.params.clone(),
                 solver: request.solver,
-                pruning: request.pruning,
-                search: request.search,
                 traffic: front.collected.traffic().clone(),
                 analysis: (*front.artifact).clone(),
                 warm_it: designed.it.binding.clone(),
@@ -189,11 +183,7 @@ impl ReplayEngine {
             // server never ran.
             return Ok(None);
         };
-        let strategy = stored.solver.synthesizer_full(
-            self.jobs_for(request.jobs),
-            stored.pruning,
-            stored.search,
-        );
+        let strategy = stored.solver.synthesizer(self.jobs_for(request.jobs));
         let solver = stored.solver.to_string();
         let app = Arc::clone(&stored.app);
         let collected = Collected::from_cached(&app, &stored.params, stored.traffic.clone());
@@ -232,8 +222,6 @@ impl ReplayEngine {
             app: Arc::clone(&app),
             params: base.clone(),
             solver: stored.solver,
-            pruning: stored.pruning,
-            search: stored.search,
             traffic: re.collected().traffic().clone(),
             analysis: AnalysisArtifact::from_parts(
                 CollectionKey::of(&base),
@@ -257,9 +245,7 @@ impl ReplayEngine {
         let WorkSpec::Workload(spec) = &base.work else {
             return Ok(None);
         };
-        let strategy =
-            base.solver
-                .synthesizer_full(self.jobs_for(base.jobs), base.pruning, base.search);
+        let strategy = base.solver.synthesizer(self.jobs_for(base.jobs));
         let solver = base.solver.to_string();
         let app = spec.build();
         let front = CachedAnalysis::build_with(
@@ -291,16 +277,12 @@ impl ReplayEngine {
     }
 
     fn replay_suite(&mut self, request: &SuiteRequest) -> Result<Option<String>, String> {
-        let strategy = request.solver.synthesizer_full(
-            self.jobs_for(request.jobs),
-            request.pruning,
-            request.search,
-        );
+        let strategy = request.solver.synthesizer(self.jobs_for(request.jobs));
         let solver = request.solver.to_string();
         let apps = stbus_traffic::workloads::paper_suite(request.seed);
         let mut rows = Vec::with_capacity(apps.len());
         for app in &apps {
-            let params = stbus_core::paper_suite_params(app.name());
+            let params = request.app_params(app.name());
             let front =
                 CachedAnalysis::build_with(&self.collect_cache, &self.analysis_cache, app, &params);
             let analyzed = front.collected.analyze_with(&front.artifact, &params);

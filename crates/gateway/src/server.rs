@@ -83,7 +83,7 @@ use stbus_core::{DesignParams, Preprocessed, SolverKind};
 use stbus_exec as exec;
 use stbus_exec::CancelToken;
 use stbus_journal::{FsyncPolicy, JournalWriter, Record, RecordKind, RecordStatus, WriterOptions};
-use stbus_milp::{Binding, PruningLevel, SearchLevel, WarmStart};
+use stbus_milp::{Binding, NodeLimitExceeded, PruningLevel, SearchLevel, WarmStart};
 use stbus_traffic::workloads::Application;
 use stbus_traffic::WorkloadDelta;
 use std::collections::BTreeMap;
@@ -198,16 +198,15 @@ struct TenantCounters {
 
 /// Everything a delta request needs to resume where a previous request
 /// left off: the collected traffic and phase-2 analysis (phases 1–2 are
-/// skipped entirely), the parameters and solver knobs the artifact pins,
-/// and the bindings the previous solve produced (the warm starts).
+/// skipped entirely), the parameters (solver knobs included) and strategy
+/// the artifact pins, and the bindings the previous solve produced (the
+/// warm starts).
 /// Shared with [`crate::replay`], whose engine maintains the same store
 /// to chain deltas during offline replay.
 pub(crate) struct ResynthArtifact {
     pub(crate) app: Arc<Application>,
     pub(crate) params: DesignParams,
     pub(crate) solver: SolverKind,
-    pub(crate) pruning: Option<PruningLevel>,
-    pub(crate) search: Option<SearchLevel>,
     pub(crate) traffic: CollectedTraffic,
     pub(crate) analysis: AnalysisArtifact,
     pub(crate) warm_it: Binding,
@@ -1073,9 +1072,7 @@ struct SolvedPair {
 
 fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &Job) {
     let jobs = effective_jobs(request.jobs);
-    let strategy = request
-        .solver
-        .synthesizer_full(jobs, request.pruning, request.search);
+    let strategy = request.solver.synthesizer(jobs);
     let solver = request.solver.to_string();
     match &request.work {
         WorkSpec::Trace(trace) => {
@@ -1132,14 +1129,7 @@ fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &J
                 }
             };
             if let Some(solved) = solved {
-                deposit_artifact(
-                    shared,
-                    &app,
-                    request.solver,
-                    request.pruning,
-                    request.search,
-                    &solved,
-                );
+                deposit_artifact(shared, &app, request.solver, &solved);
                 reply_outcome_line(shared, job, &solved.body);
             }
         }
@@ -1151,8 +1141,6 @@ fn deposit_artifact(
     shared: &Shared,
     app: &Arc<Application>,
     solver: SolverKind,
-    pruning: Option<PruningLevel>,
-    search: Option<SearchLevel>,
     solved: &SolvedPair,
 ) {
     shared.resynth_cache.insert(
@@ -1161,8 +1149,6 @@ fn deposit_artifact(
             app: Arc::clone(app),
             params: solved.params.clone(),
             solver,
-            pruning,
-            search,
             traffic: solved.traffic.clone(),
             analysis: solved.analysis.clone(),
             warm_it: solved.warm_it.clone(),
@@ -1225,8 +1211,6 @@ fn restore_synthesize(shared: &Arc<Shared>, record: &Record) -> bool {
             app: Arc::clone(&app),
             params: request.params.clone(),
             solver: request.solver,
-            pruning: request.pruning,
-            search: request.search,
             traffic: front.collected.traffic().clone(),
             analysis: (*front.artifact).clone(),
             warm_it,
@@ -1271,8 +1255,6 @@ fn restore_delta(shared: &Arc<Shared>, record: &Record) -> bool {
             app: Arc::clone(&app),
             params: base,
             solver: stored.solver,
-            pruning: stored.pruning,
-            search: stored.search,
             traffic: re.collected().traffic().clone(),
             analysis,
             warm_it,
@@ -1349,9 +1331,7 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
     }
 
     let jobs = effective_jobs(request.jobs);
-    let strategy = stored
-        .solver
-        .synthesizer_full(jobs, stored.pruning, stored.search);
+    let strategy = stored.solver.synthesizer(jobs);
     let solver = stored.solver.to_string();
     let app = Arc::clone(&stored.app);
 
@@ -1380,41 +1360,28 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
             }
         };
         // Per-direction warm starts: the strategy's own limits are unset
-        // (`synthesizer_full` leaves them `None`), so each direction's
-        // params — carrying that direction's previous binding — reach the
-        // search. The warm start never changes verdicts, probe logs or
-        // bus counts (see `SolveLimits::warm_start`); it only lets the
-        // search seed or short-circuit from the previous answer.
+        // (`synthesizer` leaves them `None`), so each direction's params —
+        // carrying that direction's previous binding — reach the search.
+        // The warm start never changes verdicts, probe logs or bus counts
+        // (see `SolveLimits::warm_start`); it only lets the search seed or
+        // short-circuit from the previous answer.
         let base = re.params().clone();
-        let warmed = |binding: &Binding| {
+        let solve = |pre, warm: &Binding| {
             let mut params = base.clone();
             params.solve_limits = params
                 .solve_limits
                 .clone()
-                .with_warm_start(WarmStart::new(binding.clone()));
-            params
+                .with_warm_start(WarmStart::new(warm.clone()));
+            strategy.synthesize_cancellable(pre, &params, &job.token)
         };
-        let out_it = match strategy.synthesize_cancellable(
-            re.pre_it(),
-            &warmed(&stored.warm_it),
-            &job.token,
-        ) {
-            Ok(Some(outcome)) => outcome,
-            Ok(None) => {
-                reply_cancelled(shared, job);
-                return;
-            }
-            Err(e) => {
-                reply_solver_error(shared, job, &e);
-                return;
-            }
+        let both = || -> Result<Option<_>, NodeLimitExceeded> {
+            let Some(it) = solve(re.pre_it(), &stored.warm_it)? else {
+                return Ok(None);
+            };
+            Ok(solve(re.pre_ti(), &stored.warm_ti)?.map(|ti| (it, ti)))
         };
-        let out_ti = match strategy.synthesize_cancellable(
-            re.pre_ti(),
-            &warmed(&stored.warm_ti),
-            &job.token,
-        ) {
-            Ok(Some(outcome)) => outcome,
+        let (out_it, out_ti) = match both() {
+            Ok(Some(pair)) => pair,
             Ok(None) => {
                 reply_cancelled(shared, job);
                 return;
@@ -1446,14 +1413,7 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
             warm_ti: out_ti.binding,
         }
     };
-    deposit_artifact(
-        shared,
-        &app,
-        stored.solver,
-        stored.pruning,
-        stored.search,
-        &solved,
-    );
+    deposit_artifact(shared, &app, stored.solver, &solved);
     reply_outcome_line(shared, job, &solved.body);
 }
 
@@ -1480,9 +1440,7 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
     };
     let base = &request.base;
     let jobs = effective_jobs(base.jobs);
-    let strategy = base
-        .solver
-        .synthesizer_full(jobs, base.pruning, base.search);
+    let strategy = base.solver.synthesizer(jobs);
     let solver = base.solver.to_string();
     // Streaming look-ahead across sweep points mirrors the per-point
     // probe width: `jobs == 1` degenerates to the old sequential loop.
@@ -1606,9 +1564,7 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
 
 fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
     let jobs = effective_jobs(request.jobs);
-    let strategy = request
-        .solver
-        .synthesizer_full(jobs, request.pruning, request.search);
+    let strategy = request.solver.synthesizer(jobs);
     let solver = request.solver.to_string();
     let apps = stbus_traffic::workloads::paper_suite(request.seed);
     let mut rows = Vec::with_capacity(apps.len());
@@ -1619,7 +1575,7 @@ fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
         }
         // Per-application parameters pinned to the paper's, exactly as
         // in `stbus suite` — the rows must diff clean against the CLI.
-        let params = stbus_core::paper_suite_params(app.name());
+        let params = request.app_params(app.name());
         let front = CachedAnalysis::build(shared, app, &params);
         let analyzed = front.collected.analyze_with(&front.artifact, &params);
         let designed = match analyzed.synthesize_cancellable(&*strategy, &job.token) {

@@ -88,16 +88,19 @@ impl WorkloadSpec {
 pub struct SynthesizeRequest {
     /// What to design from.
     pub work: WorkSpec,
-    /// Full design parameters (knobs merged over the defaults).
+    /// Full design parameters (knobs merged over the defaults, the
+    /// `"pruning"`/`"search"` knobs into [`DesignParams::solve_limits`]).
     pub params: DesignParams,
     /// Synthesis strategy.
     pub solver: SolverKind,
     /// Probe parallelism (`None` = executor width, as in the CLI).
     pub jobs: Option<NonZeroUsize>,
-    /// Exact-search pruning level override.
+    /// The `"pruning"` knob as sent (already applied to `params`); it
+    /// also tags the artifact's content address.
     pub pruning: Option<PruningLevel>,
-    /// Exact-search level override (`learned` = CDCL-style nogood
-    /// learning with the restart portfolio).
+    /// The `"search"` knob as sent (already applied to `params`;
+    /// `learned` = CDCL-style nogood learning with the restart
+    /// portfolio); it also tags the artifact's content address.
     pub search: Option<SearchLevel>,
 }
 
@@ -123,6 +126,19 @@ pub struct SuiteRequest {
     pub pruning: Option<PruningLevel>,
     /// Search level override.
     pub search: Option<SearchLevel>,
+}
+
+impl SuiteRequest {
+    /// The paper's pinned parameters for one suite application, with this
+    /// request's solver knobs applied — exactly what `stbus suite` runs.
+    #[must_use]
+    pub(crate) fn app_params(&self, app_name: &str) -> DesignParams {
+        with_knobs(
+            stbus_core::paper_suite_params(app_name),
+            self.pruning,
+            self.search,
+        )
+    }
 }
 
 /// A validated incremental re-synthesis request: a prior artifact's
@@ -236,6 +252,23 @@ fn parse_work(obj: &Value) -> Result<WorkSpec, String> {
     }))
 }
 
+/// `params` with the solver knobs, where sent, applied to
+/// [`DesignParams::solve_limits`] — the one place a wire `"pruning"` or
+/// `"search"` reaches the solver.
+fn with_knobs(
+    mut params: DesignParams,
+    pruning: Option<PruningLevel>,
+    search: Option<SearchLevel>,
+) -> DesignParams {
+    if let Some(level) = pruning {
+        params = params.with_pruning(level);
+    }
+    if let Some(level) = search {
+        params = params.with_search(level);
+    }
+    params
+}
+
 fn parse_params(obj: &Value) -> Result<DesignParams, String> {
     let mut params = DesignParams::default();
     if let Some(window) = field_u64(obj, "window", 1)? {
@@ -254,7 +287,7 @@ fn parse_params(obj: &Value) -> Result<DesignParams, String> {
         }
         params = params.with_response_scale(scale);
     }
-    Ok(params)
+    Ok(with_knobs(params, parse_pruning(obj)?, parse_search(obj)?))
 }
 
 fn parse_solver(obj: &Value) -> Result<SolverKind, String> {
@@ -646,6 +679,11 @@ mod tests {
     fn search_knob_parses_and_rejects_unknown_levels() {
         let req = parse_synthesize(r#"{"suite":"mat2","search":"learned"}"#).unwrap();
         assert_eq!(req.search, Some(stbus_milp::SearchLevel::Learned));
+        // The knob reaches the solver through the params.
+        assert_eq!(
+            req.params.solve_limits.search,
+            stbus_milp::SearchLevel::Learned
+        );
         let req = parse_synthesize(r#"{"suite":"mat2"}"#).unwrap();
         assert_eq!(req.search, None);
         let suite = parse_suite(r#"{"search":"standard"}"#).unwrap();

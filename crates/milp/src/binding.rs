@@ -262,7 +262,7 @@ impl Error for NodeLimitExceeded {}
 /// Speculative callers (the phase-3 probe scheduler) solve bindings whose
 /// answers may become irrelevant while they are being computed; the
 /// executor's [`CancelToken`] threads through
-/// [`BindingProblem::find_feasible_cancellable`], and raising it makes
+/// [`BindingProblem::find_feasible_stats_cancellable`], and raising it makes
 /// the search bail at the next node-count checkpoint instead of
 /// finishing a proof nobody will read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,6 +291,19 @@ impl fmt::Display for SearchInterrupted {
 }
 
 impl Error for SearchInterrupted {}
+
+/// Runs a cancellable search under a fresh root token nobody can raise,
+/// so the only interruption left is the node budget — the plain
+/// [`BindingProblem::find_feasible`]/[`BindingProblem::optimize`]
+/// conveniences.
+fn uncancelled<T>(
+    search: impl FnOnce(&CancelToken) -> Result<T, SearchInterrupted>,
+) -> Result<T, NodeLimitExceeded> {
+    search(&CancelToken::new()).map_err(|e| match e {
+        SearchInterrupted::Budget(b) => b,
+        SearchInterrupted::Cancelled => unreachable!("a root token is never raised"),
+    })
+}
 
 /// How many branch attempts pass between two polls of the cancellation
 /// token: rare enough to stay off the profile, frequent enough that a
@@ -863,15 +876,10 @@ impl BindingProblem {
         ))
     }
 
-    /// Finds any feasible binding (the paper's MILP-1, Eq. 10).
+    /// Finds any feasible binding (the paper's MILP-1, Eq. 10) — the
+    /// root-token convenience over [`BindingProblem::find_feasible_stats_cancellable`].
     ///
     /// Returns `Ok(None)` when the instance is provably infeasible.
-    ///
-    /// A verified [`SolveLimits::warm_start`] short-circuits the search
-    /// entirely; an unverifiable one demotes to a value-ordering hint.
-    /// Verdicts are unchanged either way (see [`SolveLimits::warm_start`]
-    /// for the contract), but the returned binding may differ from the
-    /// cold search's.
     ///
     /// # Errors
     ///
@@ -881,35 +889,31 @@ impl BindingProblem {
         &self,
         limits: &SolveLimits,
     ) -> Result<Option<Binding>, NodeLimitExceeded> {
-        self.find_feasible_stats(limits).map(|(best, _)| best)
+        uncancelled(|cancel| self.find_feasible_stats_cancellable(limits, cancel)).map(|(b, _)| b)
     }
 
-    /// [`BindingProblem::find_feasible`] that additionally reports the
-    /// search's [`SearchStats`]. This is the entry point that honours
-    /// [`SolveLimits::search`]: under [`SearchLevel::Learned`] the query
-    /// is answered by the conflict-driven learned search (restarts,
-    /// nogoods) instead of the frozen-order DFS. A verified warm start
-    /// short-circuits either engine with zeroed stats.
+    /// The feasibility driver: finds any feasible binding and reports the
+    /// search's [`SearchStats`], polling a cooperative [`CancelToken`].
     ///
-    /// # Errors
+    /// This is the entry point that honours [`SolveLimits::search`]: under
+    /// [`SearchLevel::Learned`] the query is answered by the
+    /// conflict-driven learned search (restarts, nogoods) instead of the
+    /// frozen-order DFS. A verified [`SolveLimits::warm_start`]
+    /// short-circuits either engine with zeroed stats; an unverifiable one
+    /// demotes to a value-ordering hint. Verdicts are unchanged either way
+    /// (see [`SolveLimits::warm_start`] for the contract), but the returned
+    /// binding may differ from the cold search's.
     ///
-    /// [`NodeLimitExceeded`] when the search budget runs out before a
-    /// definitive answer.
-    pub fn find_feasible_stats(
-        &self,
-        limits: &SolveLimits,
-    ) -> Result<(Option<Binding>, SearchStats), NodeLimitExceeded> {
-        self.feasible_stats_impl(limits, None).map_err(|e| match e {
-            SearchInterrupted::Budget(b) => b,
-            SearchInterrupted::Cancelled => {
-                unreachable!("no cancellation flag was supplied")
-            }
-        })
-    }
-
-    /// [`BindingProblem::find_feasible_stats`] with a cooperative
-    /// [`CancelToken`] (the learned search polls it at the same node
-    /// checkpoints as the standard DFS).
+    /// [`SearchStats::nodes`] counts candidate placements charged against
+    /// [`SolveLimits::max_nodes`] — a pure function of the search
+    /// (identical across runs and worker counts), which makes it the
+    /// denominator of the node-rate metric the `hotpath` bench snapshots.
+    ///
+    /// When the token (or any of its ancestors — the executor's scopes
+    /// hand out child tokens) is cancelled, the search returns
+    /// [`SearchInterrupted::Cancelled`] at its next checkpoint (within a
+    /// few thousand nodes). The poll sits outside the node accounting, so
+    /// an un-cancelled run takes the same branches under any token.
     ///
     /// # Errors
     ///
@@ -919,16 +923,6 @@ impl BindingProblem {
         &self,
         limits: &SolveLimits,
         cancel: &CancelToken,
-    ) -> Result<(Option<Binding>, SearchStats), SearchInterrupted> {
-        self.feasible_stats_impl(limits, Some(cancel))
-    }
-
-    /// Shared feasibility driver: warm-start short-circuit, then the
-    /// engine selected by [`SolveLimits::search`].
-    fn feasible_stats_impl(
-        &self,
-        limits: &SolveLimits,
-        cancel: Option<&CancelToken>,
     ) -> Result<(Option<Binding>, SearchStats), SearchInterrupted> {
         if let Some(warm) = self.warm_verified(limits) {
             return Ok((Some(warm), SearchStats::default()));
@@ -974,99 +968,32 @@ impl BindingProblem {
         if let Some(warm) = self.warm_verified(limits) {
             return Ok(Some(warm));
         }
-        self.search_full(limits, None, None, true)
-            .map(|(best, _nodes)| best)
-            .map_err(|e| match e {
-                SearchInterrupted::Budget(b) => b,
-                SearchInterrupted::Cancelled => {
-                    unreachable!("no cancellation flag was supplied")
-                }
-            })
-    }
-
-    /// [`BindingProblem::find_feasible`] that additionally reports the
-    /// number of search nodes explored — the denominator of the
-    /// node-rate (nodes/s) metric the `hotpath` bench snapshots. A node
-    /// is one candidate placement charged against
-    /// [`SolveLimits::max_nodes`]; the count is a pure function of the
-    /// search (identical across runs and worker counts), so a node-rate
-    /// comparison between two builds measures per-node cost and nothing
-    /// else. A verified warm start short-circuits the search and reports
-    /// zero nodes.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeLimitExceeded`] when the search budget runs out before a
-    /// definitive answer.
-    pub fn find_feasible_counted(
-        &self,
-        limits: &SolveLimits,
-    ) -> Result<(Option<Binding>, u64), NodeLimitExceeded> {
-        self.find_feasible_stats(limits)
-            .map(|(best, stats)| (best, stats.nodes))
-    }
-
-    /// [`BindingProblem::find_feasible`] with a cooperative
-    /// [`CancelToken`]: when the token (or any of its ancestors — the
-    /// executor's scopes hand out child tokens) is cancelled, the search
-    /// returns [`SearchInterrupted::Cancelled`] at its next checkpoint
-    /// (within a few thousand nodes). An un-cancelled run behaves
-    /// exactly like `find_feasible` — same branching, same node
-    /// accounting, same answer.
-    ///
-    /// # Errors
-    ///
-    /// [`SearchInterrupted::Budget`] when the node budget runs out,
-    /// [`SearchInterrupted::Cancelled`] when the token was raised.
-    pub fn find_feasible_cancellable(
-        &self,
-        limits: &SolveLimits,
-        cancel: &CancelToken,
-    ) -> Result<Option<Binding>, SearchInterrupted> {
-        self.feasible_stats_impl(limits, Some(cancel))
-            .map(|(best, _)| best)
+        uncancelled(|cancel| self.search_full(limits, None, cancel, true)).map(|(best, _)| best)
     }
 
     /// Finds the binding minimising the maximum per-bus overlap (the
-    /// paper's MILP-2, Eq. 11). Returns `Ok(None)` when infeasible.
-    ///
-    /// A verified [`SolveLimits::warm_start`] replaces the
-    /// incumbent-seeding feasibility pass: the improving search starts
-    /// from the warm binding's *recomputed* objective. The optimal
-    /// objective value is unchanged (the improving search below the
-    /// incumbent stays exhaustive); the returned binding may differ.
+    /// paper's MILP-2, Eq. 11) — the root-token convenience over
+    /// [`BindingProblem::optimize_cancellable`]. Returns `Ok(None)` when
+    /// infeasible.
     ///
     /// # Errors
     ///
     /// [`NodeLimitExceeded`] when the search budget runs out before
     /// optimality is proven.
     pub fn optimize(&self, limits: &SolveLimits) -> Result<Option<Binding>, NodeLimitExceeded> {
-        // Seed the incumbent with any feasible solution so pruning bites
-        // immediately — a verified warm start *is* such a solution and
-        // saves the seeding search outright. The seeding search honours
-        // [`SolveLimits::search`] (the learned engine can reach a first
-        // witness the frozen order cannot); the improving search below is
-        // always the standard exhaustive one, so the final objective is
-        // engine-independent.
-        let seed = match self.warm_verified(limits) {
-            Some(warm) => Some(warm),
-            None => self.find_feasible(limits)?,
-        };
-        match seed {
-            None => Ok(None),
-            Some(feasible) => {
-                let best = self.search(limits, Some(feasible.max_bus_overlap))?;
-                Ok(Some(best.unwrap_or(feasible)))
-            }
-        }
+        uncancelled(|cancel| self.optimize_cancellable(limits, cancel))
     }
 
-    /// [`BindingProblem::optimize`] with a cooperative [`CancelToken`]:
-    /// both the incumbent-seeding search and the improving search poll
-    /// the token at their checkpoints, so a raised token abandons MILP-2
-    /// within a few thousand nodes. An un-cancelled run takes exactly the
-    /// same path as `optimize` — same branching, same node accounting,
-    /// same binding.
+    /// The MILP-2 driver, polling a cooperative [`CancelToken`]: both the
+    /// incumbent-seeding search and the improving search poll the token
+    /// at their checkpoints, so a raised token abandons MILP-2 within a
+    /// few thousand nodes.
+    ///
+    /// A verified [`SolveLimits::warm_start`] replaces the
+    /// incumbent-seeding feasibility pass: the improving search starts
+    /// from the warm binding's *recomputed* objective. The optimal
+    /// objective value is unchanged (the improving search below the
+    /// incumbent stays exhaustive); the returned binding may differ.
     ///
     /// # Errors
     ///
@@ -1077,46 +1004,20 @@ impl BindingProblem {
         limits: &SolveLimits,
         cancel: &CancelToken,
     ) -> Result<Option<Binding>, SearchInterrupted> {
-        let seed = match self.warm_verified(limits) {
-            Some(warm) => Some(warm),
-            None => self.feasible_stats_impl(limits, Some(cancel))?.0,
-        };
+        // Seed the incumbent with any feasible solution so pruning bites
+        // immediately. The seeding search honours [`SolveLimits::search`]
+        // (the learned engine can reach a first witness the frozen order
+        // cannot); the improving search below is always the standard
+        // exhaustive one, so the final objective is engine-independent.
+        let seed = self.find_feasible_stats_cancellable(limits, cancel)?.0;
         match seed {
             None => Ok(None),
             Some(feasible) => {
-                let best =
-                    self.search_with(limits, Some(feasible.max_bus_overlap), Some(cancel))?;
+                let (best, _nodes) =
+                    self.search_full(limits, Some(feasible.max_bus_overlap), cancel, false)?;
                 Ok(Some(best.unwrap_or(feasible)))
             }
         }
-    }
-
-    /// [`BindingProblem::search_with`] without cancellation; the only
-    /// interruption left is the node budget.
-    fn search(
-        &self,
-        limits: &SolveLimits,
-        incumbent_bound: Option<u64>,
-    ) -> Result<Option<Binding>, NodeLimitExceeded> {
-        self.search_with(limits, incumbent_bound, None)
-            .map_err(|e| match e {
-                SearchInterrupted::Budget(b) => b,
-                SearchInterrupted::Cancelled => {
-                    unreachable!("no cancellation flag was supplied")
-                }
-            })
-    }
-
-    /// [`BindingProblem::search_full`] without auditing — the production
-    /// path.
-    fn search_with(
-        &self,
-        limits: &SolveLimits,
-        incumbent_bound: Option<u64>,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Option<Binding>, SearchInterrupted> {
-        self.search_full(limits, incumbent_bound, cancel, false)
-            .map(|(best, _nodes)| best)
     }
 
     /// Core DFS. When `incumbent_bound` is `Some(b)`, searches for a
@@ -1127,7 +1028,7 @@ impl BindingProblem {
         &self,
         limits: &SolveLimits,
         incumbent_bound: Option<u64>,
-        cancel: Option<&CancelToken>,
+        cancel: &CancelToken,
         audit: bool,
     ) -> Result<(Option<Binding>, u64), SearchInterrupted> {
         if self.num_targets == 0 {
@@ -1341,7 +1242,7 @@ impl BindingProblem {
             nodes: &mut u64,
             limits: &SolveLimits,
             warm: Option<&[usize]>,
-            cancel: Option<&CancelToken>,
+            cancel: &CancelToken,
             bound: &mut Option<u64>,
             optimizing: bool,
             audit: bool,
@@ -1483,14 +1384,9 @@ impl BindingProblem {
                     }));
                 }
                 // The poll is outside the budget accounting, so an
-                // un-cancelled run explores exactly the nodes the plain
-                // search explores.
-                if *nodes & CANCEL_POLL_MASK == 0 {
-                    if let Some(token) = cancel {
-                        if token.is_cancelled() {
-                            return Err(SearchInterrupted::Cancelled);
-                        }
-                    }
+                // un-cancelled run explores the same nodes under any token.
+                if *nodes & CANCEL_POLL_MASK == 0 && cancel.is_cancelled() {
+                    return Err(SearchInterrupted::Cancelled);
                 }
                 if let Some(b) = *bound {
                     if st.bus_overlap[k] + added >= b {
@@ -1665,7 +1561,9 @@ mod tests {
         let p = BindingProblem::new(2, 100, vec![vec![60, 10], vec![50, 20], vec![10, 70]])
             .with_conflict(0, 2);
         let plain = p.optimize(&limits()).unwrap().expect("feasible");
-        let token = CancelToken::new();
+        // A live request token (a child of a root nobody raises) takes
+        // the same path as the root-token convenience.
+        let token = CancelToken::new().child();
         let cancellable = p
             .optimize_cancellable(&limits(), &token)
             .unwrap()
@@ -1782,10 +1680,11 @@ mod tests {
     fn cancellable_search_matches_plain_when_not_cancelled() {
         let mut p = BindingProblem::new(3, 100, vec![vec![60], vec![50], vec![40], vec![30]]);
         p.add_conflict(0, 1);
-        let token = CancelToken::new();
+        let token = CancelToken::new().child();
         let cancellable = p
-            .find_feasible_cancellable(&limits(), &token)
-            .expect("within limits");
+            .find_feasible_stats_cancellable(&limits(), &token)
+            .expect("within limits")
+            .0;
         let plain = p.find_feasible(&limits()).expect("within limits");
         assert_eq!(cancellable, plain);
     }
@@ -1802,7 +1701,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let limits = SolveLimits::default().with_pruning(PruningLevel::Off);
-        match p.find_feasible_cancellable(&limits, &token) {
+        match p.find_feasible_stats_cancellable(&limits, &token) {
             Err(SearchInterrupted::Cancelled) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }
@@ -1818,7 +1717,7 @@ mod tests {
         let child = root.child();
         root.cancel();
         let limits = SolveLimits::default().with_pruning(PruningLevel::Off);
-        match p.find_feasible_cancellable(&limits, &child) {
+        match p.find_feasible_stats_cancellable(&limits, &child) {
             Err(SearchInterrupted::Cancelled) => {}
             other => panic!("expected cancellation, got {other:?}"),
         }
@@ -1828,7 +1727,7 @@ mod tests {
     fn budget_error_survives_the_cancellable_path() {
         let p = BindingProblem::new(4, 100, vec![vec![26]; 12]);
         let token = CancelToken::new();
-        match p.find_feasible_cancellable(&SolveLimits::nodes(3), &token) {
+        match p.find_feasible_stats_cancellable(&SolveLimits::nodes(3), &token) {
             Err(SearchInterrupted::Budget(e)) => assert_eq!(e.limit, 3),
             other => panic!("expected budget error, got {other:?}"),
         }

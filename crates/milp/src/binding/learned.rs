@@ -411,7 +411,7 @@ struct Search<'a> {
     critical: &'a [usize],
     value_order: &'a [usize],
     limits: &'a SolveLimits,
-    cancel: Option<&'a CancelToken>,
+    cancel: &'a CancelToken,
     member_token: &'a CancelToken,
     /// Cumulative node count (carried across restarts by the member).
     nodes: u64,
@@ -541,8 +541,7 @@ impl Search<'_> {
                 return Err(Stop::Burst);
             }
             if self.nodes & CANCEL_POLL_MASK == 0
-                && (self.member_token.is_cancelled()
-                    || self.cancel.is_some_and(CancelToken::is_cancelled))
+                && (self.member_token.is_cancelled() || self.cancel.is_cancelled())
             {
                 return Err(Stop::Cancelled);
             }
@@ -558,8 +557,13 @@ impl Search<'_> {
             // Apply — the same incremental bookkeeping as the standard
             // engine, plus the kill watches.
             let saved_min_slack = self.arena.min_slack[k];
-            for (ti, slot) in saved_col.iter_mut().enumerate() {
-                *slot = self.arena.usable[ti * self.arena.buses + k];
+            // The usability matrix exists only for the per-node bounds;
+            // with pruning off it is empty and never read.
+            let track_usable = self.limits.pruning != PruningLevel::Off;
+            if track_usable {
+                for (ti, slot) in saved_col.iter_mut().enumerate() {
+                    *slot = self.arena.usable[ti * self.arena.buses + k];
+                }
             }
             let mut new_min = saved_min_slack;
             for &(m, d) in &self.sparse[t] {
@@ -573,8 +577,10 @@ impl Search<'_> {
             self.arena.lens[k] += 1;
             self.arena.masks[k * self.arena.words + t / 64] |= 1u64 << (t % 64);
             self.arena.unbound.remove(t);
-            self.arena
-                .refresh_column(problem, self.total, self.peak, self.sparse, k);
+            if track_usable {
+                self.arena
+                    .refresh_column(problem, self.total, self.peak, self.sparse, k);
+            }
             self.assigned_bus[t] = k as i32;
             let kill_mark = self.kill_trail.len();
             {
@@ -603,8 +609,10 @@ impl Search<'_> {
                 self.arena.used[k * self.arena.windows + m] -= d;
                 self.arena.rem_window[m] += d;
             }
-            for (ti, &slot) in saved_col.iter().enumerate() {
-                self.arena.usable[ti * self.arena.buses + k] = slot;
+            if track_usable {
+                for (ti, &slot) in saved_col.iter().enumerate() {
+                    self.arena.usable[ti * self.arena.buses + k] = slot;
+                }
             }
 
             match outcome? {
@@ -660,7 +668,7 @@ fn run_member(
     problem: &BindingProblem,
     limits: &SolveLimits,
     member: u64,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     member_token: &CancelToken,
 ) -> (Result<Option<Binding>, SearchInterrupted>, SearchStats) {
     let order = problem.branching_order();
@@ -814,7 +822,7 @@ fn run_member(
 pub(crate) fn find_feasible(
     problem: &BindingProblem,
     limits: &SolveLimits,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<(Option<Binding>, SearchStats), SearchInterrupted> {
     if problem.num_targets == 0 {
         return Ok((
@@ -909,7 +917,9 @@ mod tests {
         ];
         for (i, p) in cases.into_iter().enumerate() {
             let standard = p.find_feasible(&SolveLimits::default()).unwrap();
-            let (learned, stats) = p.find_feasible_stats(&learned_limits(42)).unwrap();
+            let (learned, stats) = p
+                .find_feasible_stats_cancellable(&learned_limits(42), &CancelToken::new())
+                .unwrap();
             assert_eq!(
                 standard.is_some(),
                 learned.is_some(),
@@ -931,8 +941,9 @@ mod tests {
             p = p.with_conflict(t, t + 1);
         }
         let limits = learned_limits(7);
-        let (a, sa) = p.find_feasible_stats(&limits).unwrap();
-        let (b, sb) = p.find_feasible_stats(&limits).unwrap();
+        let root = CancelToken::new();
+        let (a, sa) = p.find_feasible_stats_cancellable(&limits, &root).unwrap();
+        let (b, sb) = p.find_feasible_stats_cancellable(&limits, &root).unwrap();
         assert_eq!(a.is_some(), b.is_some());
         assert_eq!(sa, sb, "stats must be a pure function of (problem, limits)");
     }
@@ -941,7 +952,9 @@ mod tests {
     fn infeasible_proof_with_learning() {
         // 24 unit targets, maxtb 4, 5 buses → 20 slots < 24 targets.
         let p = BindingProblem::new(5, 100, vec![vec![1]; 24]).with_maxtb(4);
-        let (verdict, _) = p.find_feasible_stats(&learned_limits(0)).unwrap();
+        let (verdict, _) = p
+            .find_feasible_stats_cancellable(&learned_limits(0), &CancelToken::new())
+            .unwrap();
         assert_eq!(verdict, None);
     }
 
@@ -953,8 +966,9 @@ mod tests {
         let limits = SolveLimits::nodes(10)
             .with_search(SearchLevel::Learned)
             .with_learned_seed(1);
-        match p.find_feasible_stats(&limits) {
-            Err(e) => assert_eq!(e.limit, 10),
+        match p.find_feasible_stats_cancellable(&limits, &CancelToken::new()) {
+            Err(SearchInterrupted::Budget(e)) => assert_eq!(e.limit, 10),
+            Err(SearchInterrupted::Cancelled) => panic!("a root token is never raised"),
             Ok((verdict, stats)) => panic!(
                 "expected budget exhaustion, got verdict {:?} with {:?}",
                 verdict.map(|_| "feasible"),

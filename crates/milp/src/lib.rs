@@ -25,7 +25,7 @@
 //! Long-running searches are cooperatively cancellable: the speculative
 //! callers in `stbus-core` (probe scheduler, batch runner) thread a
 //! [`CancelToken`] from the shared executor through
-//! [`BindingProblem::find_feasible_cancellable`] and the heuristic's
+//! [`BindingProblem::find_feasible_stats_cancellable`] and the heuristic's
 //! annealing repair, so work whose answer can no longer be consumed is
 //! abandoned at the next poll instead of finishing a proof nobody reads.
 //!

@@ -271,8 +271,6 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
     let mut params = DesignParams::default();
     let mut solver = SolverKind::Exact;
     let mut jobs: Option<NonZeroUsize> = None;
-    let mut pruning: Option<PruningLevel> = None;
-    let mut search: Option<SearchLevel> = None;
     let mut json = false;
     while let Some(flag) = args.next() {
         match flag {
@@ -286,8 +284,8 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
             "--maxtb" => params = params.with_maxtb(parse(value(args, flag)?, "maxtb")?),
             "--solver" => solver = value(args, flag)?.parse()?,
             "--jobs" => jobs = Some(parse_jobs(value(args, flag)?)?),
-            "--pruning" => pruning = Some(value(args, flag)?.parse()?),
-            "--search" => search = Some(value(args, flag)?.parse()?),
+            "--pruning" => params = params.with_pruning(value(args, flag)?.parse()?),
+            "--search" => params = params.with_search(value(args, flag)?.parse()?),
             "--heuristic" => {
                 eprintln!("note: --heuristic is deprecated; use --solver heuristic");
                 solver = SolverKind::Heuristic;
@@ -303,7 +301,7 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
     let trace = load_trace(trace_path.as_deref())?;
     let pre = Preprocessed::analyze(&trace, &params);
     let outcome = solver
-        .synthesizer_full(jobs, pruning, search)
+        .synthesizer(jobs)
         .synthesize(&pre, &params)
         .map_err(|e| e.to_string())?;
     if json {

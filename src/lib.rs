@@ -47,10 +47,8 @@
 //! );
 //! ```
 //!
-//! `stbus::core::DesignFlow::run` wraps exactly this pipeline for
-//! one-call use, and `stbus::core::Batch` sweeps `apps × parameter grid`
-//! in parallel, reusing each application's collected traffic across the
-//! whole grid.
+//! `stbus::core::Batch` sweeps `apps × parameter grid` in parallel,
+//! reusing each application's collected traffic across the whole grid.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

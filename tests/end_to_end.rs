@@ -1,8 +1,8 @@
 //! End-to-end integration tests: the complete four-phase flow on every
 //! paper suite, pinning the headline reproduction results.
 
-use stbus::core::{DesignFlow, DesignParams};
-use stbus::traffic::workloads;
+use stbus::core::{DesignParams, DesignReport, Exact, Pipeline};
+use stbus::traffic::workloads::{self, Application};
 
 const SEED: u64 = 0xDA7E_2005;
 
@@ -14,6 +14,15 @@ fn suite_params(app_name: &str) -> DesignParams {
             .with_response_scale(0.9),
         _ => DesignParams::default(),
     }
+}
+
+/// All four phases plus the baseline evaluations for one application.
+fn run(app: &Application, params: &DesignParams) -> DesignReport {
+    Pipeline::collect(app, params)
+        .analyze(params)
+        .synthesize(&Exact::default())
+        .and_then(|synthesized| synthesized.report())
+        .expect("flow succeeds")
 }
 
 /// The headline Table-2 reproduction: designed bus counts match the paper
@@ -29,9 +38,7 @@ fn table2_bus_counts_match_paper() {
     ];
     for (app, (name, buses)) in workloads::paper_suite(SEED).iter().zip(expected) {
         assert_eq!(app.name(), name);
-        let report = DesignFlow::new(suite_params(name))
-            .run(app)
-            .expect("flow succeeds");
+        let report = run(app, &suite_params(name));
         assert_eq!(
             report.designed.total_buses(),
             buses,
@@ -46,9 +53,7 @@ fn table2_bus_counts_match_paper() {
 #[test]
 fn latency_ordering_holds_everywhere() {
     for app in workloads::paper_suite(SEED) {
-        let report = DesignFlow::new(suite_params(app.name()))
-            .run(&app)
-            .expect("flow succeeds");
+        let report = run(&app, &suite_params(app.name()));
         let name = app.name();
         assert!(
             report.designed.avg_latency >= report.full.avg_latency * 0.999,
@@ -75,11 +80,13 @@ fn designed_bindings_verify() {
     use stbus::core::Preprocessed;
     for app in workloads::paper_suite(SEED) {
         let params = suite_params(app.name());
-        let flow = DesignFlow::new(params.clone());
-        let (it, ti, collected) = flow.synthesize_only(&app).expect("synthesis");
+        let collected = Pipeline::collect(&app, &params);
+        let analyzed = collected.analyze(&params);
+        let synthesized = analyzed.synthesize(&Exact::default()).expect("synthesis");
+        let traffic = collected.traffic();
         for (label, synth, trace) in [
-            ("IT", &it, &collected.it_trace),
-            ("TI", &ti, &collected.ti_trace),
+            ("IT", &synthesized.it, &traffic.it_trace),
+            ("TI", &synthesized.ti, &traffic.ti_trace),
         ] {
             let pre = Preprocessed::analyze(trace, &params);
             let problem = pre.binding_problem(synth.num_buses);
@@ -101,10 +108,14 @@ fn designed_sizes_are_minimal() {
     use stbus::milp::SolveLimits;
     for app in workloads::paper_suite(SEED) {
         let params = suite_params(app.name());
-        let flow = DesignFlow::new(params.clone());
-        let (it, _, collected) = flow.synthesize_only(&app).expect("synthesis");
+        let collected = Pipeline::collect(&app, &params);
+        let analyzed = collected.analyze(&params);
+        let it = &analyzed
+            .synthesize(&Exact::default())
+            .expect("synthesis")
+            .it;
         if it.num_buses > 1 {
-            let pre = Preprocessed::analyze(&collected.it_trace, &params);
+            let pre = Preprocessed::analyze(&collected.traffic().it_trace, &params);
             let smaller = pre.binding_problem(it.num_buses - 1);
             assert_eq!(
                 smaller
@@ -123,9 +134,7 @@ fn designed_sizes_are_minimal() {
 #[test]
 fn critical_streams_meet_full_crossbar_latency() {
     for app in workloads::paper_suite(SEED) {
-        let report = DesignFlow::new(suite_params(app.name()))
-            .run(&app)
-            .expect("flow succeeds");
+        let report = run(&app, &suite_params(app.name()));
         let designed = report.designed.validation.critical_latency();
         if designed.count == 0 {
             continue; // suite has no critical streams
@@ -146,13 +155,8 @@ fn critical_streams_meet_full_crossbar_latency() {
 #[test]
 fn flow_is_deterministic() {
     let app = workloads::matrix::mat2(SEED.wrapping_add(1));
-    let run = |app: &workloads::Application| {
-        DesignFlow::new(suite_params("Mat2"))
-            .run(app)
-            .expect("flow succeeds")
-    };
-    let a = run(&app);
-    let b = run(&app);
+    let a = run(&app, &suite_params("Mat2"));
+    let b = run(&app, &suite_params("Mat2"));
     assert_eq!(
         a.it_synthesis.config.assignment(),
         b.it_synthesis.config.assignment()

@@ -16,9 +16,10 @@
 //!    sweep finish completely, then the server drains and refuses new
 //!    connections.
 
-use stbus::core::{DesignParams, Pipeline, SolverKind};
+use stbus::core::{DesignParams, Exact, Pipeline, Preprocessed, SolverKind, Synthesizer};
 use stbus::gateway::json::{self, Value};
 use stbus::gateway::{Gateway, GatewayConfig};
+use stbus::milp::{PruningLevel, SearchLevel};
 use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetEdit, TargetId, TraceEvent, WorkloadDelta};
 use std::io::{Read, Write};
@@ -226,7 +227,7 @@ fn workload_and_trace_responses_are_bit_identical_to_the_pipeline() {
     let params = DesignParams::default().with_overlap_threshold(0.15);
     let collected = Pipeline::collect(&app, &params);
     let analyzed = collected.analyze(&params);
-    let strategy = SolverKind::Exact.synthesizer();
+    let strategy = SolverKind::Exact.synthesizer(None);
     let direct = analyzed.synthesize(&*strategy).expect("direct synthesis");
 
     // Workload mode: both directions.
@@ -505,7 +506,7 @@ fn delta_requests_reuse_artifacts_and_match_from_scratch() {
         .expect("valid delta");
     let analyzed = patched.analyze(&params);
     let direct = analyzed
-        .synthesize(&*SolverKind::Exact.synthesizer())
+        .synthesize(&*SolverKind::Exact.synthesizer(None))
         .expect("direct synthesis");
     assert_verdict_matches(outcome_field(&warm, "it"), &direct.it);
     assert_verdict_matches(outcome_field(&warm, "ti"), &direct.ti);
@@ -721,4 +722,81 @@ fn shutdown_drains_in_flight_streams_and_refuses_new_connections() {
         }
     };
     assert!(refused, "server must stop accepting after drain");
+}
+
+/// The wire solver knobs reach the solver: a trace-mode `/synthesize`
+/// with `"pruning":"off","search":"learned"` answers byte for byte what
+/// `Exact` answers on the same trace with those levels set on the
+/// params.
+#[test]
+fn trace_mode_solver_knobs_reach_the_solver() {
+    let gateway = spawn_gateway(2, 8);
+    let addr = gateway.addr();
+
+    // The conflict-dense 24-target point: hard enough that the learned
+    // engine restarts and learns, so its counters show in the bytes.
+    let trace = &workloads::synthetic::scaled_soc(24, 42).trace;
+    let params = DesignParams::default()
+        .with_overlap_threshold(0.12)
+        .with_window_size(2_000)
+        .with_maxtb(6);
+    let solve = |params: &DesignParams| {
+        Exact::default()
+            .synthesize(&Preprocessed::analyze(trace, params), params)
+            .expect("direct synthesis")
+            .to_json("exact")
+    };
+    let direct = solve(
+        &params
+            .clone()
+            .with_pruning(PruningLevel::Off)
+            .with_search(SearchLevel::Learned),
+    );
+    // A dropped knob cannot pass unnoticed.
+    assert_ne!(
+        direct,
+        solve(&params),
+        "the knobs must change the outcome bytes"
+    );
+
+    let escaped = stbus::traffic::io::trace_to_string(trace)
+        .replace('\\', "\\\\")
+        .replace('\n', "\\n");
+    let (status, body) = http_post(
+        addr,
+        "/synthesize",
+        &format!(
+            "{{\"trace\":\"{escaped}\",\"threshold\":0.12,\"window\":2000,\"maxtb\":6,\
+             \"pruning\":\"off\",\"search\":\"learned\"}}"
+        ),
+        None,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    assert_eq!(
+        body,
+        format!("{direct}\n"),
+        "wire knobs must reach the solver"
+    );
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A hostile body of half a megabyte of `[` — far under the body cap —
+/// is a `400`, not a stack overflow that takes the process down: the
+/// gateway keeps answering afterwards.
+#[test]
+fn deeply_nested_json_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+
+    let (status, body) = http_post(addr, "/synthesize", &"[".repeat(500_000), None);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("nesting"), "body: {body}");
+
+    let (status, body) = http_get(addr, "/stats");
+    assert_eq!(status, 200, "body: {body}");
+
+    gateway.shutdown();
+    gateway.join();
 }

@@ -15,10 +15,9 @@
 //! count — is deterministic, bit for bit, at any worker count.
 
 use proptest::prelude::*;
-use stbus::core::{
-    synthesize, DesignParams, Exact, Pipeline, Preprocessed, SynthesisOutcome, Synthesizer,
-};
-use stbus::milp::{SearchLevel, SolveLimits};
+use stbus::core::exec::CancelToken;
+use stbus::core::{DesignParams, Exact, Pipeline, Preprocessed, SynthesisOutcome, Synthesizer};
+use stbus::milp::{PruningLevel, SearchLevel, SolveLimits};
 use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetId, Trace, TraceEvent};
 use std::num::NonZeroUsize;
@@ -56,7 +55,9 @@ fn assert_binding_verifies(label: &str, pre: &Preprocessed, out: &SynthesisOutco
 
 /// Learned search keeps the standard verdicts on every paper workload
 /// and direction, sequentially and under the speculative scheduler at
-/// `jobs ∈ {1, 4}`, and every binding it returns verifies.
+/// `jobs ∈ {1, 4}`, with pruning on or off (the learned engine must not
+/// touch the usability matrix the unpruned search never builds), and
+/// every binding it returns verifies.
 #[test]
 fn learned_matches_standard_on_paper_suite() {
     for app in workloads::paper_suite(0xDA7E_2005) {
@@ -67,13 +68,20 @@ fn learned_matches_standard_on_paper_suite() {
             let standard = Exact::default()
                 .synthesize(pre, &params)
                 .expect("within limits");
-            for jobs in [1usize, 4] {
+            for (pruning, jobs) in [
+                (PruningLevel::Standard, 1usize),
+                (PruningLevel::Standard, 4),
+                (PruningLevel::Off, 1),
+            ] {
+                let learned_params = params
+                    .clone()
+                    .with_pruning(pruning)
+                    .with_search(SearchLevel::Learned);
                 let learned = Exact::default()
-                    .with_search(SearchLevel::Learned)
                     .with_jobs(NonZeroUsize::new(jobs).unwrap())
-                    .synthesize(pre, &params)
+                    .synthesize(pre, &learned_params)
                     .expect("within limits");
-                let label = format!("{}/{dir} learned jobs={jobs}", app.name());
+                let label = format!("{}/{dir} learned {pruning:?} jobs={jobs}", app.name());
                 assert_same_verdicts(&label, &learned, &standard);
                 assert_binding_verifies(&label, pre, &learned);
             }
@@ -97,9 +105,8 @@ fn learned_matches_standard_on_scaled_synthetic() {
         .expect("within limits");
     for jobs in [1usize, 4] {
         let learned = Exact::default()
-            .with_search(SearchLevel::Learned)
             .with_jobs(NonZeroUsize::new(jobs).unwrap())
-            .synthesize(&pre, &params)
+            .synthesize(&pre, &params.clone().with_search(SearchLevel::Learned))
             .expect("within limits");
         let label = format!("scaled-24 learned jobs={jobs}");
         assert_same_verdicts(&label, &learned, &standard);
@@ -143,30 +150,6 @@ fn learned_search_is_deterministic_per_seed() {
     }
 }
 
-/// The `DesignParams`-level knob reaches the solver: `with_search` on
-/// the params equals the strategy-level override.
-#[test]
-fn params_level_knob_matches_strategy_override() {
-    let app = workloads::matrix::mat2(0xDA7E_2005);
-    let params = suite_params(app.name());
-    let pre = {
-        let collected = Pipeline::collect(&app, &params);
-        let analyzed = collected.analyze(&params);
-        analyzed.pre_it().clone()
-    };
-    let via_params =
-        synthesize(&pre, &params.clone().with_search(SearchLevel::Learned)).expect("within limits");
-    let via_strategy = Exact::default()
-        .with_search(SearchLevel::Learned)
-        .synthesize(&pre, &params)
-        .expect("within limits");
-    assert_same_verdicts("params-vs-strategy", &via_params, &via_strategy);
-    assert_eq!(
-        via_params.binding, via_strategy.binding,
-        "same engine, same seed: identical binding"
-    );
-}
-
 /// Tractability guard for what conflict learning actually bought at the
 /// 48-target 14/15-bus phase transition (the size-sweep point both
 /// exact engines used to stall on), mirroring `exact_cliff_stays_moved`:
@@ -198,7 +181,7 @@ fn learned_transition_stays_certified() {
         .with_learned_seed(0);
 
     let (witness, stats) = Preprocessed::binding_problem(&pre, 15)
-        .find_feasible_stats(&budget)
+        .find_feasible_stats_cancellable(&budget, &CancelToken::new())
         .expect("learned 15-bus probe must stay within the probe budget");
     let witness = witness.expect("learned search must certify the 15-bus witness at 48 targets");
     assert!(
@@ -215,7 +198,7 @@ fn learned_transition_stays_certified() {
     for buses in pre.bus_lower_bound()..=13 {
         assert_eq!(
             Preprocessed::binding_problem(&pre, buses)
-                .find_feasible_stats(&budget)
+                .find_feasible_stats_cancellable(&budget, &CancelToken::new())
                 .unwrap_or_else(|e| panic!("learned proof at {buses} buses hit {e}"))
                 .0,
             None,
@@ -228,7 +211,7 @@ fn learned_transition_stays_certified() {
     // the guard and BENCHMARKS.md get rewritten around the new frontier.
     assert!(
         Preprocessed::binding_problem(&pre, 14)
-            .find_feasible_stats(&budget)
+            .find_feasible_stats_cancellable(&budget, &CancelToken::new())
             .is_err(),
         "14 buses decided within budget — move the frontier documentation"
     );
@@ -280,13 +263,15 @@ proptest! {
             .with_maxtb(maxtb)
             .with_overlap_threshold(f64::from(theta) / 100.0);
         let pre = Preprocessed::analyze(&tr, &params);
-        let standard = synthesize(&pre, &params).expect("within limits");
+        let standard = Exact::default().synthesize(&pre, &params).expect("within limits");
         let learned_params = {
             let mut p = params.clone().with_search(SearchLevel::Learned);
             p.solve_limits = p.solve_limits.with_learned_seed(seed);
             p
         };
-        let learned = synthesize(&pre, &learned_params).expect("within limits");
+        let learned = Exact::default()
+            .synthesize(&pre, &learned_params)
+            .expect("within limits");
         prop_assert_eq!(&learned.probes, &standard.probes);
         prop_assert_eq!(learned.num_buses, standard.num_buses);
         prop_assert_eq!(learned.lower_bound, standard.lower_bound);

@@ -4,7 +4,7 @@
 //! window design as the paper describes.
 
 use proptest::prelude::*;
-use stbus::core::{baselines, phase3, DesignParams, Preprocessed};
+use stbus::core::{baselines, DesignParams, Exact, Preprocessed, Synthesizer};
 use stbus::milp::SolveLimits;
 use stbus::traffic::{InitiatorId, TargetId, Trace, TraceEvent};
 
@@ -36,7 +36,7 @@ proptest! {
     fn synthesis_respects_constraints(trace in arb_trace()) {
         let p = params();
         let pre = Preprocessed::analyze(&trace, &p);
-        let out = phase3::synthesize(&pre, &p).expect("within limits");
+        let out = Exact::default().synthesize(&pre, &p).expect("within limits");
         // Re-verify through the independent checker.
         let problem = pre.binding_problem(out.num_buses);
         prop_assert_eq!(problem.verify(&out.binding), Some(out.max_bus_overlap));
@@ -54,7 +54,7 @@ proptest! {
     fn size_is_bounded(trace in arb_trace()) {
         let p = params();
         let pre = Preprocessed::analyze(&trace, &p);
-        let out = phase3::synthesize(&pre, &p).expect("within limits");
+        let out = Exact::default().synthesize(&pre, &p).expect("within limits");
         prop_assert!(out.num_buses <= trace.num_targets().max(1));
         prop_assert!(out.num_buses >= pre.bus_lower_bound().min(trace.num_targets().max(1)));
     }
@@ -66,8 +66,8 @@ proptest! {
         let tight = params().with_overlap_threshold(0.05);
         let pre_loose = Preprocessed::analyze(&trace, &loose);
         let pre_tight = Preprocessed::analyze(&trace, &tight);
-        let out_loose = phase3::synthesize(&pre_loose, &loose).expect("ok");
-        let out_tight = phase3::synthesize(&pre_tight, &tight).expect("ok");
+        let out_loose = Exact::default().synthesize(&pre_loose, &loose).expect("ok");
+        let out_tight = Exact::default().synthesize(&pre_tight, &tight).expect("ok");
         prop_assert!(out_tight.num_buses >= out_loose.num_buses);
     }
 
@@ -77,9 +77,9 @@ proptest! {
         let roomy = params().with_maxtb(6);
         let cramped = params().with_maxtb(2);
         let out_roomy =
-            phase3::synthesize(&Preprocessed::analyze(&trace, &roomy), &roomy).expect("ok");
+            Exact::default().synthesize(&Preprocessed::analyze(&trace, &roomy), &roomy).expect("ok");
         let out_cramped =
-            phase3::synthesize(&Preprocessed::analyze(&trace, &cramped), &cramped)
+            Exact::default().synthesize(&Preprocessed::analyze(&trace, &cramped), &cramped)
                 .expect("ok");
         prop_assert!(out_cramped.num_buses >= out_roomy.num_buses);
         prop_assert!(out_cramped.config.max_targets_per_bus() <= 2);
@@ -92,7 +92,7 @@ proptest! {
     fn peak_design_dominates_window_design(trace in arb_trace()) {
         let p = params();
         let pre = Preprocessed::analyze(&trace, &p);
-        let window = phase3::synthesize(&pre, &p).expect("ok");
+        let window = Exact::default().synthesize(&pre, &p).expect("ok");
         let peak = baselines::peak_bandwidth_design(&trace, &p).expect("ok");
         prop_assert!(peak.num_buses >= window.num_buses);
     }
@@ -104,7 +104,7 @@ proptest! {
     fn average_design_is_no_larger(trace in arb_trace()) {
         let p = params().with_maxtb(trace.num_targets().max(1));
         let pre = Preprocessed::analyze(&trace, &p);
-        let window = phase3::synthesize(&pre, &p).expect("ok");
+        let window = Exact::default().synthesize(&pre, &p).expect("ok");
         let avg = baselines::average_flow_design(&trace, &p).expect("ok");
         prop_assert!(avg.num_buses <= window.num_buses);
     }
@@ -114,7 +114,7 @@ proptest! {
     fn random_bindings_verify(trace in arb_trace(), seed in 0u64..1000) {
         let p = params();
         let pre = Preprocessed::analyze(&trace, &p);
-        let out = phase3::synthesize(&pre, &p).expect("ok");
+        let out = Exact::default().synthesize(&pre, &p).expect("ok");
         if let Some(design) =
             baselines::random_binding_design(&pre, out.num_buses, seed, &p).expect("ok")
         {

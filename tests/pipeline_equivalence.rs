@@ -1,11 +1,11 @@
-//! The staged pipeline and the legacy one-call flow must be two routes to
-//! the same answer: identical `DesignReport`s on the whole paper suite,
-//! whether the stages run inline, sequentially batched, or in parallel.
-//! Plus the `Portfolio` strategy's budget-fallback contract.
+//! The staged pipeline and the batch runner must be routes to the same
+//! answer: identical `DesignReport`s on the whole paper suite, whether the
+//! stages run inline, sequentially batched, or in parallel. Plus the
+//! `Portfolio` strategy's budget-fallback contract.
 
 use stbus::core::{
-    Batch, ConfigEval, DesignFlow, DesignParams, DesignReport, Exact, Heuristic, Pipeline,
-    Portfolio, SynthesisEngine, SynthesisOutcome,
+    Batch, ConfigEval, DesignParams, DesignReport, Exact, Heuristic, Pipeline, Portfolio,
+    SynthesisEngine, SynthesisOutcome,
 };
 use stbus::milp::SolveLimits;
 use stbus::traffic::workloads;
@@ -65,11 +65,10 @@ fn assert_same_report(label: &str, a: &DesignReport, b: &DesignReport) {
     assert_same_eval(&format!("{label}/avg"), &a.avg_based, &b.avg_based);
 }
 
-/// Legacy `DesignFlow::run`, the inline staged pipeline, and the parallel
-/// and sequential `Batch` runners all produce identical reports on the
-/// five paper applications.
+/// The inline staged pipeline and the parallel and sequential `Batch`
+/// runners all produce identical reports on the five paper applications.
 #[test]
-fn staged_pipeline_matches_legacy_flow_on_paper_suite() {
+fn staged_pipeline_matches_batch_on_paper_suite() {
     let apps = workloads::paper_suite(0xDA7E_2005);
 
     let batch_parallel = Batch::per_app(&apps, |app| suite_params(app.name())).run();
@@ -80,10 +79,7 @@ fn staged_pipeline_matches_legacy_flow_on_paper_suite() {
     for ((app, parallel), sequential) in apps.iter().zip(batch_parallel).zip(batch_sequential) {
         let params = suite_params(app.name());
 
-        // Route 1: the legacy one-call flow.
-        let legacy = DesignFlow::new(params.clone()).run(app).expect("flow ok");
-
-        // Route 2: the staged pipeline, spelled out.
+        // Route 1: the staged pipeline, spelled out.
         let collected = Pipeline::collect(app, &params);
         let analyzed = collected.analyze(&params);
         let staged = analyzed
@@ -92,7 +88,7 @@ fn staged_pipeline_matches_legacy_flow_on_paper_suite() {
             .report()
             .expect("validation ok");
 
-        // Routes 3 and 4: the batch runner, parallel and sequential.
+        // Routes 2 and 3: the batch runner, parallel and sequential.
         let parallel = parallel
             .result
             .expect("batch ok")
@@ -105,8 +101,7 @@ fn staged_pipeline_matches_legacy_flow_on_paper_suite() {
             .expect("paper baselines");
 
         let name = app.name();
-        assert_same_report(&format!("{name}: staged vs legacy"), &staged, &legacy);
-        assert_same_report(&format!("{name}: parallel vs legacy"), &parallel, &legacy);
+        assert_same_report(&format!("{name}: parallel vs staged"), &parallel, &staged);
         assert_same_report(
             &format!("{name}: parallel vs sequential"),
             &parallel,
@@ -129,25 +124,21 @@ fn large_soc() -> Application {
 
 fn large_soc_params() -> DesignParams {
     // A conflict-dense point that still solves exactly in well under a
-    // second, so the four-route comparison stays test-suite friendly.
+    // second, so the route comparison stays test-suite friendly.
     DesignParams::default()
         .with_overlap_threshold(0.10)
         .with_window_size(2_000)
 }
 
-/// The four routes agree on the generated 24-target SoC too, not just the
-/// paper suite: legacy one-call flow, inline staged pipeline, and the
-/// parallel and sequential batch runners produce identical reports.
+/// The routes agree on the generated 24-target SoC too, not just the
+/// paper suite: the inline staged pipeline and the parallel and
+/// sequential batch runners produce identical reports.
 #[test]
-fn large_soc_staged_matches_legacy_and_batch() {
+fn large_soc_staged_matches_batch() {
     let app = large_soc();
     assert_eq!(app.spec.num_targets(), 24);
     let params = large_soc_params();
     let apps = [app];
-
-    let legacy = DesignFlow::new(params.clone())
-        .run(&apps[0])
-        .expect("flow ok");
 
     let staged = Pipeline::collect(&apps[0], &params)
         .analyze(&params)
@@ -173,8 +164,7 @@ fn large_soc_staged_matches_legacy_and_batch() {
     let parallel = run_batch(None);
     let sequential = run_batch(Some(1));
 
-    assert_same_report("large-soc: staged vs legacy", &staged, &legacy);
-    assert_same_report("large-soc: parallel vs legacy", &parallel, &legacy);
+    assert_same_report("large-soc: parallel vs staged", &parallel, &staged);
     assert_same_report("large-soc: parallel vs sequential", &parallel, &sequential);
 
     // The streaming batch path (phase-4 baselines through the executor,

@@ -2,13 +2,14 @@
 //! answers: a θ-sweep through [`OverlapProfile`] re-thresholding and a
 //! phase-3 run through the speculative [`ProbeScheduler`] (plain or with
 //! the deterministic exact-vs-heuristic probe race) return **bit-identical**
-//! outcomes to the pre-PR sequential path — on the paper suite and on
-//! random instances.
+//! outcomes to the sequential search (the width-1 scheduler) — on the
+//! paper suite and on random instances.
 
 use proptest::prelude::*;
+use stbus::core::exec::CancelToken;
 use stbus::core::{
-    synthesize, DesignParams, Exact, Pipeline, Portfolio, Preprocessed, ProbeScheduler,
-    SynthesisOutcome, Synthesizer,
+    DesignParams, Exact, Pipeline, Portfolio, Preprocessed, ProbeScheduler, SynthesisOutcome,
+    Synthesizer,
 };
 use stbus::milp::HeuristicOptions;
 use stbus::traffic::workloads;
@@ -23,6 +24,19 @@ fn suite_params(name: &str) -> DesignParams {
             .with_response_scale(0.9),
         _ => DesignParams::default(),
     }
+}
+
+/// Runs `scheduler` to completion under a root token.
+fn run(scheduler: &ProbeScheduler, pre: &Preprocessed, params: &DesignParams) -> SynthesisOutcome {
+    scheduler
+        .synthesize(pre, params, &CancelToken::new())
+        .expect("within limits")
+        .expect("a root token is never raised")
+}
+
+/// The sequential reference search: the width-1 scheduler.
+fn synthesize(pre: &Preprocessed, params: &DesignParams) -> SynthesisOutcome {
+    run(&ProbeScheduler::new(NonZeroUsize::MIN), pre, params)
 }
 
 fn assert_same_outcome(label: &str, a: &SynthesisOutcome, b: &SynthesisOutcome) {
@@ -48,24 +62,20 @@ fn scheduler_matches_sequential_on_paper_suite() {
         let collected = Pipeline::collect(&app, &params);
         let analyzed = collected.analyze(&params);
         for (dir, pre) in [("it", analyzed.pre_it()), ("ti", analyzed.pre_ti())] {
-            let sequential = synthesize(pre, &params).expect("within limits");
+            let sequential = synthesize(pre, &params);
             // Every width exercises the executor's priority lane: the
             // scheduler promotes its consume-next probe, so the suite
             // also proves promotion never changes results.
             for jobs in [1usize, 2, 4, 8] {
                 let jobs = NonZeroUsize::new(jobs).unwrap();
-                let plain = ProbeScheduler::new(jobs)
-                    .synthesize(pre, &params)
-                    .expect("within limits");
+                let plain = run(&ProbeScheduler::new(jobs), pre, &params);
                 assert_same_outcome(
                     &format!("{}/{dir} plain jobs={jobs}", app.name()),
                     &plain,
                     &sequential,
                 );
-                let raced = ProbeScheduler::new(jobs)
-                    .with_race(HeuristicOptions::default())
-                    .synthesize(pre, &params)
-                    .expect("within limits");
+                let raced = ProbeScheduler::new(jobs).with_race(HeuristicOptions::default());
+                let raced = run(&raced, pre, &params);
                 assert_same_outcome(
                     &format!("{}/{dir} raced jobs={jobs}", app.name()),
                     &raced,
@@ -131,10 +141,8 @@ fn incremental_sweep_plus_scheduler_matches_fresh_path() {
             fresh.pre_ti().conflicts,
             "θ={theta}: TI conflicts"
         );
-        let sequential = synthesize(fresh.pre_it(), &params).expect("within limits");
-        let parallel = scheduler
-            .synthesize(incremental.pre_it(), &params)
-            .expect("within limits");
+        let sequential = synthesize(fresh.pre_it(), &params);
+        let parallel = run(&scheduler, incremental.pre_it(), &params);
         assert_same_outcome(&format!("θ={theta}"), &parallel, &sequential);
     }
 }
@@ -197,19 +205,15 @@ proptest! {
 
         // Parallel probes equal the sequential search at the new point.
         let params = base.with_overlap_threshold(theta);
-        let sequential = synthesize(&fresh, &params).expect("within limits");
+        let sequential = synthesize(&fresh, &params);
         for jobs in [1usize, 4] {
             let jobs = NonZeroUsize::new(jobs).unwrap();
-            let plain = ProbeScheduler::new(jobs)
-                .synthesize(&swept, &params)
-                .expect("within limits");
+            let plain = run(&ProbeScheduler::new(jobs), &swept, &params);
             prop_assert_eq!(&plain.probes, &sequential.probes);
             prop_assert_eq!(&plain.binding, &sequential.binding);
             prop_assert_eq!(plain.num_buses, sequential.num_buses);
-            let raced = ProbeScheduler::new(jobs)
-                .with_race(HeuristicOptions::default())
-                .synthesize(&swept, &params)
-                .expect("within limits");
+            let raced = ProbeScheduler::new(jobs).with_race(HeuristicOptions::default());
+            let raced = run(&raced, &swept, &params);
             prop_assert_eq!(&raced.probes, &sequential.probes);
             prop_assert_eq!(&raced.binding, &sequential.binding);
             prop_assert_eq!(raced.max_bus_overlap, sequential.max_bus_overlap);

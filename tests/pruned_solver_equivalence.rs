@@ -5,18 +5,15 @@
 //! `Standard`), the whole phase-3 outcome — feasibility verdicts, probe
 //! logs, chosen size, MILP-2 binding, engine — is asserted equal across
 //! levels on the paper suite and on scaled synthetic instances,
-//! including under the parallel [`ProbeScheduler`] at `jobs > 1`. The
+//! including under the parallel probe scheduler at `jobs > 1`. The
 //! opt-in `Aggressive` level is held to its documented weaker contract:
 //! identical verdicts, probe logs, bus counts and objective-relevant
 //! feasibility, with the returned binding allowed to differ as long as
 //! it verifies.
 
 use proptest::prelude::*;
-use stbus::core::{
-    synthesize, DesignParams, Exact, Pipeline, Preprocessed, ProbeScheduler, SynthesisOutcome,
-    Synthesizer,
-};
-use stbus::milp::{PruningLevel, SolveLimits};
+use stbus::core::{DesignParams, Exact, Pipeline, Preprocessed, SynthesisOutcome, Synthesizer};
+use stbus::milp::{NodeLimitExceeded, PruningLevel, SolveLimits};
 use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetId, Trace, TraceEvent};
 use std::num::NonZeroUsize;
@@ -29,6 +26,14 @@ fn suite_params(name: &str) -> DesignParams {
             .with_response_scale(0.9),
         _ => DesignParams::default(),
     }
+}
+
+/// The sequential exact search.
+fn synthesize(
+    pre: &Preprocessed,
+    params: &DesignParams,
+) -> Result<SynthesisOutcome, NodeLimitExceeded> {
+    Exact::default().synthesize(pre, params)
 }
 
 fn assert_same_outcome(label: &str, a: &SynthesisOutcome, b: &SynthesisOutcome) {
@@ -64,12 +69,10 @@ fn pruning_levels_agree_on_paper_suite() {
         let analyzed = collected.analyze(&params);
         for (dir, pre) in [("it", analyzed.pre_it()), ("ti", analyzed.pre_ti())] {
             let off = Exact::default()
-                .with_pruning(PruningLevel::Off)
-                .synthesize(pre, &params)
+                .synthesize(pre, &params.clone().with_pruning(PruningLevel::Off))
                 .expect("within limits");
             let standard = Exact::default()
-                .with_pruning(PruningLevel::Standard)
-                .synthesize(pre, &params)
+                .synthesize(pre, &params.clone().with_pruning(PruningLevel::Standard))
                 .expect("within limits");
             assert_same_outcome(&format!("{}/{dir} std", app.name()), &standard, &off);
 
@@ -78,9 +81,8 @@ fn pruning_levels_agree_on_paper_suite() {
             for jobs in [1usize, 2, 4, 8] {
                 let jobs = NonZeroUsize::new(jobs).unwrap();
                 let scheduled = Exact::default()
-                    .with_pruning(PruningLevel::Standard)
                     .with_jobs(jobs)
-                    .synthesize(pre, &params)
+                    .synthesize(pre, &params.clone().with_pruning(PruningLevel::Standard))
                     .expect("within limits");
                 assert_same_outcome(
                     &format!("{}/{dir} std jobs={jobs}", app.name()),
@@ -90,8 +92,7 @@ fn pruning_levels_agree_on_paper_suite() {
             }
 
             let aggressive = Exact::default()
-                .with_pruning(PruningLevel::Aggressive)
-                .synthesize(pre, &params)
+                .synthesize(pre, &params.clone().with_pruning(PruningLevel::Aggressive))
                 .expect("within limits");
             assert_same_verdicts(&format!("{}/{dir} aggr", app.name()), &aggressive, &off);
             let problem = Preprocessed::binding_problem(pre, aggressive.num_buses);
@@ -117,46 +118,21 @@ fn pruning_levels_agree_on_scaled_synthetic() {
         .with_maxtb(6);
     let pre = Preprocessed::analyze(&app.trace, &params);
     let off = Exact::default()
-        .with_pruning(PruningLevel::Off)
-        .synthesize(&pre, &params)
+        .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Off))
         .expect("within limits");
     let standard = Exact::default()
-        .with_pruning(PruningLevel::Standard)
-        .synthesize(&pre, &params)
+        .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Standard))
         .expect("within limits");
     assert_same_outcome("scaled-24 std", &standard, &off);
     let scheduled = Exact::default()
-        .with_pruning(PruningLevel::Standard)
         .with_jobs(NonZeroUsize::new(4).unwrap())
-        .synthesize(&pre, &params)
+        .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Standard))
         .expect("within limits");
     assert_same_outcome("scaled-24 std jobs=4", &scheduled, &off);
     let aggressive = Exact::default()
-        .with_pruning(PruningLevel::Aggressive)
-        .synthesize(&pre, &params)
+        .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Aggressive))
         .expect("within limits");
     assert_same_verdicts("scaled-24 aggr", &aggressive, &off);
-}
-
-/// The `DesignParams`-level knob reaches the solver: `with_pruning(Off)`
-/// on the params equals the strategy-level override.
-#[test]
-fn params_level_knob_matches_strategy_override() {
-    let app = workloads::matrix::mat2(0xDA7E_2005);
-    let params = suite_params(app.name());
-    let collected = Pipeline::collect(&app, &params);
-    let analyzed = collected.analyze(&params);
-    let via_params = analyzed
-        .collected()
-        .analyze(&params.clone().with_pruning(PruningLevel::Off));
-    let a = via_params
-        .synthesize(&Exact::default())
-        .expect("within limits");
-    let b = analyzed
-        .synthesize(&Exact::default().with_pruning(PruningLevel::Off))
-        .expect("within limits");
-    assert_same_outcome("params-vs-strategy it", &a.it, &b.it);
-    assert_same_outcome("params-vs-strategy ti", &a.ti, &b.ti);
 }
 
 /// Tractability regression guard for the size-sweep cliff, pinned to
@@ -285,7 +261,8 @@ proptest! {
         prop_assert_eq!(standard.num_buses, off.num_buses);
         prop_assert_eq!(standard.max_bus_overlap, off.max_bus_overlap);
 
-        let scheduled = ProbeScheduler::new(NonZeroUsize::new(4).unwrap())
+        let scheduled = Exact::default()
+            .with_jobs(NonZeroUsize::new(4).unwrap())
             .synthesize(&pre, &params)
             .expect("within limits");
         prop_assert_eq!(&scheduled.probes, &off.probes);
