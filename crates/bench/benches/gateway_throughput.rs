@@ -1,10 +1,11 @@
 //! Closed-loop gateway throughput bench: an in-process [`Gateway`] under
 //! a small fleet of synchronous HTTP clients, all POSTing the same
 //! workload-mode `/synthesize` request over **persistent keep-alive
-//! connections** (one per client for the whole run, well under the
+//! connections** (one per client per measured window, well under the
 //! gateway's per-connection request cap) — per-request latency is
 //! request-written to response-read, with no connect/teardown inside
-//! the measured exchange.
+//! the measured exchange. The run measures five windows and reports the
+//! median window's rate.
 //!
 //! The point being measured is the **service layer**, not the solvers:
 //! with identical requests the collect/analysis artifact caches converge
@@ -15,6 +16,10 @@
 //! latency, end-of-run cache hit rate), merged next to the phase-3
 //! sweep's rows via the shared `stbus_bench` snapshot helpers so neither
 //! bench clobbers the other.
+//!
+//! When a previous row exists, `GATEWAY_GUARD=1` turns the run into a
+//! regression gate: it fails if the fresh `requests_per_sec` drops
+//! below 1/1.3 of the committed one (the nightly perf job sets this).
 //!
 //! On a 1-core host the row carries the shared machine-readable
 //! `single_core_host` warning (same shape as the `executor_saturation`
@@ -35,11 +40,18 @@ const CLIENTS: usize = 4;
 /// Per-client requests before the measured window (fills the caches and
 /// faults in the lazily spawned threads).
 const WARMUP_PER_CLIENT: usize = 4;
-/// Per-client requests inside the measured window.
+/// Per-client requests inside each measured window.
 const REQUESTS_PER_CLIENT: usize = 64;
+/// Measured windows per run, each on fresh connections; the row reports
+/// the median window's rate. One window lasts well under a second, so a
+/// single one is at the mercy of a scheduling hiccup.
+const ROUNDS: usize = 5;
 /// The identical request every client sends: Mat2 at the paper's
 /// aggressive threshold — the suite operating point of `stbus suite`.
 const BODY: &str = r#"{"suite":"mat2","seed":42,"threshold":0.15}"#;
+/// A fresh `requests_per_sec` below `committed / GUARD_RATIO` fails the
+/// run when `GATEWAY_GUARD` is set.
+const GUARD_RATIO: f64 = 1.3;
 
 /// One persistent keep-alive connection. Each `post` is a single
 /// request/response exchange on it; the response is framed by its
@@ -147,26 +159,13 @@ fn percentile(sorted: &[f64], p: usize) -> f64 {
     sorted[(sorted.len() - 1) * p / 100]
 }
 
-fn main() {
-    let host_parallelism = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let config = GatewayConfig {
-        addr: "127.0.0.1:0".to_string(),
-        workers: 2,
-        queue_depth: 64,
-        cache_entries: 64,
-        log_requests: false,
-        ..GatewayConfig::default()
-    };
-    assert!(
-        WARMUP_PER_CLIENT + REQUESTS_PER_CLIENT <= config.keep_alive_requests,
-        "each client must fit its whole run on one kept-alive connection"
-    );
-    let gateway = Gateway::spawn(&config).expect("bind gateway");
-    let addr = gateway.addr();
-
-    // Warmup outside the window: first flight computes the artifacts
-    // (single-flight collapses the rest onto it), later flights pin the
-    // steady-state hit path.
+/// One measured window: every client opens a fresh keep-alive
+/// connection, warms it up outside the window, then sends its measured
+/// requests. Returns the window's wall-clock seconds and the per-request
+/// latencies.
+fn measure_window(addr: SocketAddr) -> (f64, Vec<f64>) {
+    // The first window's warmup computes the artifacts (single-flight
+    // collapses the rest onto it); every later request is a cache hit.
     let barrier = Arc::new(Barrier::new(CLIENTS + 1));
     let clients: Vec<_> = (0..CLIENTS)
         .map(|_| {
@@ -191,15 +190,42 @@ fn main() {
 
     barrier.wait();
     let window = Instant::now();
-    let mut latencies: Vec<f64> = clients
+    let latencies: Vec<f64> = clients
         .into_iter()
         .flat_map(|client| client.join().expect("client thread"))
         .collect();
-    let wall_s = window.elapsed().as_secs_f64();
+    (window.elapsed().as_secs_f64(), latencies)
+}
+
+fn main() {
+    let host_parallelism = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let config = GatewayConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 2,
+        queue_depth: 64,
+        cache_entries: 64,
+        log_requests: false,
+        ..GatewayConfig::default()
+    };
+    assert!(
+        WARMUP_PER_CLIENT + REQUESTS_PER_CLIENT <= config.keep_alive_requests,
+        "each client must fit its whole run on one kept-alive connection"
+    );
+    let gateway = Gateway::spawn(&config).expect("bind gateway");
+    let addr = gateway.addr();
+
+    let mut rates = Vec::with_capacity(ROUNDS);
+    let mut latencies = Vec::with_capacity(ROUNDS * CLIENTS * REQUESTS_PER_CLIENT);
+    for _ in 0..ROUNDS {
+        let (wall_s, round) = measure_window(addr);
+        rates.push((CLIENTS * REQUESTS_PER_CLIENT) as f64 / wall_s);
+        latencies.extend(round);
+    }
+    rates.sort_by(f64::total_cmp);
     latencies.sort_by(f64::total_cmp);
 
-    let requests = CLIENTS * REQUESTS_PER_CLIENT;
-    let requests_per_sec = requests as f64 / wall_s;
+    let requests = ROUNDS * CLIENTS * REQUESTS_PER_CLIENT;
+    let requests_per_sec = rates[ROUNDS / 2];
     let p50_ms = percentile(&latencies, 50) * 1e3;
     let p99_ms = percentile(&latencies, 99) * 1e3;
 
@@ -223,7 +249,7 @@ fn main() {
     let served = stat(&stats_body, "requests", "served");
     assert_eq!(
         served as usize,
-        requests + CLIENTS * WARMUP_PER_CLIENT,
+        requests + ROUNDS * CLIENTS * WARMUP_PER_CLIENT,
         "every request must be served exactly once"
     );
 
@@ -241,21 +267,45 @@ fn main() {
         "{{\"date\": \"{date}\", \"host_parallelism\": {host_parallelism}, \
          \"workers\": {workers}, \"clients\": {CLIENTS}, \
          \"connections\": \"keep-alive\", \
-         \"warmup_requests\": {warmup}, \"requests\": {requests}, \
+         \"rounds\": {ROUNDS}, \"warmup_requests\": {warmup}, \"requests\": {requests}, \
          \"request\": {{\"route\": \"/synthesize\", \"suite\": \"mat2\", \"seed\": 42, \
          \"overlap_threshold\": 0.15}}, \
-         \"wall_s\": {wall_s:.6}, \"requests_per_sec\": {requests_per_sec:.2}, \
+         \"requests_per_sec\": {requests_per_sec:.2}, \
+         \"requests_per_sec_range\": [{min_rate:.2}, {max_rate:.2}], \
          \"latency_ms\": {{\"p50\": {p50_ms:.3}, \"p99\": {p99_ms:.3}}}, \
          \"cache_hit_rate\": {cache_hit_rate:.4}, \"warning\": {warning}}}",
         date = stbus_bench::today_utc(),
         workers = config.workers,
-        warmup = CLIENTS * WARMUP_PER_CLIENT,
+        warmup = ROUNDS * CLIENTS * WARMUP_PER_CLIENT,
+        min_rate = rates[0],
+        max_rate = rates[ROUNDS - 1],
     );
+
+    // Regression guard against the committed row, checked before the
+    // row is rewritten.
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
+    let snapshot = std::fs::read_to_string(path).unwrap_or_else(|_| String::from("{}\n"));
+    let committed_rate: Option<f64> =
+        stbus_bench::extract_top_level(&snapshot, "gateway_throughput")
+            .and_then(|row| stbus_bench::extract_top_level(&row, "requests_per_sec"))
+            .and_then(|raw| raw.parse().ok());
+    let guard = std::env::var_os("GATEWAY_GUARD").is_some();
+    if let Some(committed) = committed_rate {
+        let ratio = requests_per_sec / committed;
+        println!("requests/sec vs committed gateway_throughput row: {ratio:.2}x");
+        if guard {
+            assert!(
+                requests_per_sec * GUARD_RATIO >= committed,
+                "gateway throughput regression: {requests_per_sec:.1} req/s is more \
+                 than {GUARD_RATIO}x below the committed {committed:.1} req/s"
+            );
+        }
+    } else if guard {
+        println!("GATEWAY_GUARD set but no committed gateway_throughput row to guard against");
+    }
 
     // Merge the row into the shared trajectory snapshot, preserving the
     // phase-3 sweep's rows (phase3.rs preserves ours symmetrically).
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
-    let snapshot = std::fs::read_to_string(path).unwrap_or_else(|_| String::from("{}\n"));
     let snapshot = stbus_bench::merge_top_level(&snapshot, "gateway_throughput", &row);
     std::fs::write(path, &snapshot).expect("write BENCH_phase3.json");
     println!("wrote {path}");

@@ -46,6 +46,7 @@ use stbus_milp::{SolveLimits, WarmStart};
 use stbus_traffic::workloads::synthetic;
 use stbus_traffic::{InitiatorId, TargetEdit, TargetId, TraceEvent, WorkloadDelta};
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 const SEED: u64 = 0xDA7E_2005;
@@ -133,7 +134,7 @@ fn main() {
         // are what the gateway deposits under the content address.
         let app = synthetic::scaled_soc(targets, SEED);
         let collected = Pipeline::collect(&app, &params);
-        let stored_traffic = collected.traffic().clone();
+        let stored_traffic = Arc::clone(collected.shared_traffic());
         let stored_analysis = collected.analysis_artifact(&params);
         let analyzed = collected.analyze(&params);
         let base_it = solver
@@ -182,7 +183,7 @@ fn main() {
                 p
             };
             let (delta_s, warm) = min_time(ITERS, || {
-                let rebuilt = Collected::from_cached(&app, &params, stored_traffic.clone());
+                let rebuilt = Collected::from_cached(&app, &params, Arc::clone(&stored_traffic));
                 let a = rebuilt.analyze_with(&stored_analysis, &params);
                 let re = a.reanalyze(&delta).expect("valid delta");
                 let it = solver

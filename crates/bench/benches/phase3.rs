@@ -509,12 +509,17 @@ fn bench_phase3(c: &mut Criterion) {
         w_hits = witness_stats.nogood_hits,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
-    // The gateway-throughput and incremental-resynthesis benches share
-    // this snapshot file; carry their rows forward instead of clobbering
-    // them (and vice versa over there).
+    // The gateway-throughput, incremental-resynthesis, hotpath and
+    // journal-overhead benches share this snapshot file; carry their rows
+    // forward instead of clobbering them (and vice versa over there).
     let old = std::fs::read_to_string(path).ok();
     let mut snapshot = snapshot;
-    for key in ["gateway_throughput", "incremental_resynthesis", "hotpath"] {
+    for key in [
+        "gateway_throughput",
+        "incremental_resynthesis",
+        "hotpath",
+        "journal_overhead",
+    ] {
         if let Some(row) = old
             .as_deref()
             .and_then(|old| stbus_bench::extract_top_level(old, key))

@@ -70,6 +70,7 @@ use serde::{Deserialize, Serialize};
 use stbus_sim::{Arbitration, CrossbarConfig};
 use stbus_traffic::workloads::Application;
 use stbus_traffic::{DeltaError, OverlapProfile, Trace, WindowStats, WorkloadDelta};
+use std::sync::Arc;
 
 /// The subset of [`DesignParams`] that phase-1 collection depends on.
 ///
@@ -169,25 +170,31 @@ impl Pipeline {
         Collected {
             app,
             key: CollectionKey::of(params),
-            traffic: collect(app, params),
+            traffic: Arc::new(collect(app, params)),
         }
     }
 }
 
 /// Phase-1 artifact: the observed traffic of one application under one
 /// [`CollectionKey`].
+///
+/// The traffic sits behind an [`Arc`], so cloning a `Collected` is a
+/// reference-count bump: every [`Analyzed`] derived from it holds its
+/// own clone, and artifact caches share the traffic instead of copying
+/// it.
 #[derive(Debug, Clone)]
 pub struct Collected<'a> {
     app: &'a Application,
     key: CollectionKey,
-    traffic: CollectedTraffic,
+    traffic: Arc<CollectedTraffic>,
 }
 
 impl<'a> Collected<'a> {
     /// Rebuilds a collection artifact from traffic captured earlier —
     /// the re-entry point for process-level artifact caches that store
-    /// owned [`CollectedTraffic`] (a `Collected` borrows its
-    /// application, so it cannot itself outlive one request).
+    /// shared [`CollectedTraffic`] (a `Collected` borrows its
+    /// application, so it cannot itself outlive one request). The
+    /// traffic is shared, not copied.
     ///
     /// The caller asserts that `traffic` was produced by
     /// [`Pipeline::collect`] on this `app` under parameters whose
@@ -198,7 +205,7 @@ impl<'a> Collected<'a> {
     pub fn from_cached(
         app: &'a Application,
         params: &DesignParams,
-        traffic: CollectedTraffic,
+        traffic: Arc<CollectedTraffic>,
     ) -> Self {
         Self {
             app,
@@ -224,10 +231,17 @@ impl<'a> Collected<'a> {
         &self.traffic
     }
 
-    /// Unwraps the artifact into the raw collected traffic.
+    /// The collected traffic as the shared handle a cache can keep.
+    #[must_use]
+    pub fn shared_traffic(&self) -> &Arc<CollectedTraffic> {
+        &self.traffic
+    }
+
+    /// Unwraps the artifact into the raw collected traffic — without a
+    /// copy when this artifact is the traffic's only owner.
     #[must_use]
     pub fn into_traffic(self) -> CollectedTraffic {
-        self.traffic
+        Arc::unwrap_or_clone(self.traffic)
     }
 
     /// Whether `params` can legally reuse this artifact.
@@ -246,7 +260,7 @@ impl<'a> Collected<'a> {
     /// traffic those parameters produce. Re-run [`Pipeline::collect`] (or
     /// let [`crate::Batch`] group the grid by key) instead.
     #[must_use]
-    pub fn analyze(&self, params: &DesignParams) -> Analyzed<'_> {
+    pub fn analyze(&self, params: &DesignParams) -> Analyzed<'a> {
         assert!(
             self.is_compatible(params),
             "analysis params change the collected traffic (arbitration, \
@@ -254,7 +268,7 @@ impl<'a> Collected<'a> {
              run); collect again for these parameters"
         );
         Analyzed {
-            collected: CollectedRef::Borrowed(self),
+            collected: self.clone(),
             params: params.clone(),
             pre_it: Preprocessed::analyze(&self.traffic.it_trace, params),
             pre_ti: Preprocessed::analyze(&self.traffic.ti_trace, params),
@@ -301,7 +315,7 @@ impl<'a> Collected<'a> {
     /// artifact was built under a different [`CollectionKey`] or
     /// [`AnalysisKey`] than `params` describes.
     #[must_use]
-    pub fn analyze_with(&self, artifact: &AnalysisArtifact, params: &DesignParams) -> Analyzed<'_> {
+    pub fn analyze_with(&self, artifact: &AnalysisArtifact, params: &DesignParams) -> Analyzed<'a> {
         assert!(
             self.is_compatible(params),
             "analysis params change the collected traffic; collect again \
@@ -313,7 +327,7 @@ impl<'a> Collected<'a> {
              window plan; call `analysis_artifact` for these parameters"
         );
         Analyzed {
-            collected: CollectedRef::Borrowed(self),
+            collected: self.clone(),
             params: params.clone(),
             pre_it: Preprocessed::from_profile(
                 artifact.it.0.clone(),
@@ -351,7 +365,7 @@ impl<'a> Collected<'a> {
         Ok(Collected {
             app: self.app,
             key: self.key,
-            traffic,
+            traffic: Arc::new(traffic),
         })
     }
 
@@ -360,7 +374,7 @@ impl<'a> Collected<'a> {
     /// conflict graphs in O(pairs). Each returned [`Analyzed`] is
     /// bit-identical to a fresh [`Collected::analyze`] at that threshold.
     #[must_use]
-    pub fn analyze_sweep(&self, base: &DesignParams, thresholds: &[f64]) -> Vec<Analyzed<'_>> {
+    pub fn analyze_sweep(&self, base: &DesignParams, thresholds: &[f64]) -> Vec<Analyzed<'a>> {
         if thresholds.is_empty() {
             return Vec::new();
         }
@@ -436,36 +450,11 @@ impl AnalysisArtifact {
     }
 }
 
-/// The collection artifact is usually borrowed from the caller; the
-/// delta path ([`Analyzed::reanalyze`]) owns a patched copy instead.
-/// Either way the downstream stages are oblivious — they read through
-/// [`Analyzed::collected`]. (A hand-rolled enum rather than
-/// [`std::borrow::Cow`]: `Cow`'s `Owned` variant goes through the
-/// `ToOwned` associated-type projection, which would make `Analyzed<'a>`
-/// invariant in `'a` and break the lifetime shrinking `synthesize`
-/// relies on.)
-#[derive(Debug, Clone)]
-enum CollectedRef<'a> {
-    Borrowed(&'a Collected<'a>),
-    Owned(Box<Collected<'a>>),
-}
-
-impl<'a> std::ops::Deref for CollectedRef<'a> {
-    type Target = Collected<'a>;
-
-    fn deref(&self) -> &Collected<'a> {
-        match self {
-            CollectedRef::Borrowed(c) => c,
-            CollectedRef::Owned(c) => c,
-        }
-    }
-}
-
 /// Phase-2 artifact: windowed statistics and conflicts for both
 /// directions, bound to the parameters that produced them.
 #[derive(Debug, Clone)]
 pub struct Analyzed<'a> {
-    collected: CollectedRef<'a>,
+    collected: Collected<'a>,
     params: DesignParams,
     pre_it: Preprocessed,
     pre_ti: Preprocessed,
@@ -490,8 +479,8 @@ impl<'a> Analyzed<'a> {
         &self.pre_ti
     }
 
-    /// The collection artifact this analysis was derived from
-    /// (borrowed from the caller, or owned when this analysis came out of
+    /// The collection artifact this analysis was derived from (the
+    /// delta-patched one when this analysis came out of
     /// [`Analyzed::reanalyze`]).
     #[must_use]
     pub fn collected(&self) -> &Collected<'a> {
@@ -560,7 +549,7 @@ impl<'a> Analyzed<'a> {
         let collected = Collected {
             app: self.collected.app(),
             key: self.collected.key(),
-            traffic,
+            traffic: Arc::new(traffic),
         };
         let same_theta = delta
             .threshold
@@ -592,7 +581,7 @@ impl<'a> Analyzed<'a> {
             )
         };
         Ok(Analyzed {
-            collected: CollectedRef::Owned(Box::new(collected)),
+            collected,
             params,
             pre_it,
             pre_ti,
@@ -1174,16 +1163,51 @@ mod tests {
         let analyzed = fresh.analyze(&params);
         let direct = analyzed.synthesize(&Exact::default()).expect("ok");
 
-        // A cache stores the owned traffic; a later request rebuilds the
-        // artifact and must land on bit-identical results.
-        let stored = fresh.clone().into_traffic();
+        // A cache stores the shared traffic; a later request rebuilds the
+        // artifact on the same allocation and must land on bit-identical
+        // results.
+        let stored = Arc::clone(fresh.shared_traffic());
         let rebuilt = Collected::from_cached(&app, &params, stored);
         assert_eq!(rebuilt.key(), fresh.key());
+        assert!(Arc::ptr_eq(
+            rebuilt.shared_traffic(),
+            fresh.shared_traffic()
+        ));
         let rebuilt_analyzed = rebuilt.analyze(&params);
         let via_cache = rebuilt_analyzed.synthesize(&Exact::default()).expect("ok");
         assert_eq!(direct.it.probes, via_cache.it.probes);
         assert_eq!(direct.it.binding, via_cache.it.binding);
         assert_eq!(direct.ti.binding, via_cache.ti.binding);
+    }
+
+    #[test]
+    fn analyses_share_the_collected_traffic() {
+        let app = workloads::matrix::mat2(42);
+        let params = DesignParams::default();
+        let collected = Pipeline::collect(&app, &params);
+        let shared = collected.shared_traffic();
+        let analyzed = collected.analyze(&params);
+        assert!(Arc::ptr_eq(analyzed.collected().shared_traffic(), shared));
+        let swept = collected.analyze_sweep(&params, &[0.1, 0.2]);
+        assert!(swept
+            .iter()
+            .all(|a| Arc::ptr_eq(a.collected().shared_traffic(), shared)));
+        // A θ-only delta leaves the traffic alone; a traffic delta owns a
+        // patched copy.
+        let theta = analyzed
+            .reanalyze(&WorkloadDelta {
+                threshold: Some(0.3),
+                ..WorkloadDelta::default()
+            })
+            .expect("valid delta");
+        assert!(Arc::ptr_eq(theta.collected().shared_traffic(), shared));
+        let removed = analyzed
+            .reanalyze(&WorkloadDelta {
+                removed: vec![TargetId::new(1)],
+                ..WorkloadDelta::default()
+            })
+            .expect("valid delta");
+        assert!(!Arc::ptr_eq(removed.collected().shared_traffic(), shared));
     }
 
     #[test]

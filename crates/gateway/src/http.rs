@@ -13,6 +13,13 @@
 //! produced, so a client sees results the moment each θ finishes).
 //! Everything else — compression, TLS, `Expect: 100-continue` — is out
 //! of scope for an offline toolkit service and intentionally absent.
+//!
+//! Every response head, fixed body and chunk is framed in memory by a
+//! pure function (`frame_response`, `frame_chunk`) and leaves in **one**
+//! `write_all`. The gateway sets `TCP_NODELAY` on its connections, so
+//! each write is sent at once: split writes would each become their own
+//! segment, and without `TCP_NODELAY` the second one would wait for the
+//! client's delayed ACK (about 40 ms per keep-alive request).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -211,16 +218,65 @@ pub fn peer_closed(stream: &TcpStream) -> bool {
     gone
 }
 
-/// The `Connection:` header line for a response.
-fn connection_line(keep_alive: bool) -> &'static str {
-    if keep_alive {
-        "Connection: keep-alive\r\n"
-    } else {
-        "Connection: close\r\n"
+/// Frames a response head: status line, `Content-Type`, the framing
+/// header line (`framing`, without CRLF), the `Connection:` disposition,
+/// then each of `extra_headers` (verbatim `Name: value` lines, without
+/// CRLF) and the blank line.
+fn frame_head(
+    status: u16,
+    reason: &str,
+    framing: &str,
+    extra_headers: &[&str],
+    keep_alive: bool,
+) -> String {
+    let connection = if keep_alive { "keep-alive" } else { "close" };
+    let mut head = format!(
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
+         {framing}\r\nConnection: {connection}\r\n"
+    );
+    for line in extra_headers {
+        head.push_str(line);
+        head.push_str("\r\n");
     }
+    head.push_str("\r\n");
+    head
 }
 
-/// Writes a complete fixed-length response and flushes it.
+/// Frames a complete fixed-length response: the head with its
+/// `Content-Length`, then `body`.
+#[must_use]
+pub(crate) fn frame_response(
+    status: u16,
+    reason: &str,
+    body: &str,
+    extra_headers: &[&str],
+    keep_alive: bool,
+) -> Vec<u8> {
+    let head = frame_head(
+        status,
+        reason,
+        &format!("Content-Length: {}", body.len()),
+        extra_headers,
+        keep_alive,
+    );
+    let mut framed = Vec::with_capacity(head.len() + body.len());
+    framed.extend_from_slice(head.as_bytes());
+    framed.extend_from_slice(body.as_bytes());
+    framed
+}
+
+/// Frames one chunk of a chunked body: hex length, CRLF, data, CRLF.
+/// Empty `data` frames to nothing — a zero-length chunk would end the
+/// stream.
+#[must_use]
+pub(crate) fn frame_chunk(data: &str) -> String {
+    if data.is_empty() {
+        return String::new();
+    }
+    format!("{:x}\r\n{data}\r\n", data.len())
+}
+
+/// Writes a complete fixed-length response in one write.
 ///
 /// `extra_headers` lines are verbatim `Name: value` pairs (no CRLF).
 /// `keep_alive` picks the `Connection:` disposition; the caller closes
@@ -237,24 +293,17 @@ pub fn respond(
     extra_headers: &[&str],
     keep_alive: bool,
 ) -> io::Result<()> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\n{}",
-        body.len(),
-        connection_line(keep_alive)
-    );
-    for line in extra_headers {
-        head.push_str(line);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    stream.write_all(&frame_response(
+        status,
+        reason,
+        body,
+        extra_headers,
+        keep_alive,
+    ))
 }
 
 /// A `Transfer-Encoding: chunked` response in progress. Each
-/// [`ChunkedWriter::chunk`] call flushes one chunk to the client, so a
+/// [`ChunkedWriter::chunk`] call sends one chunk to the client, so a
 /// streaming route delivers results incrementally; [`ChunkedWriter::end`]
 /// writes the terminating zero-length chunk (chunked framing is
 /// self-delimiting, so the connection can stay alive afterwards).
@@ -275,33 +324,25 @@ impl<'a> ChunkedWriter<'a> {
         extra_headers: &[&str],
         keep_alive: bool,
     ) -> io::Result<Self> {
-        let mut head = format!(
-            "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-             Transfer-Encoding: chunked\r\n{}",
-            connection_line(keep_alive)
+        let head = frame_head(
+            status,
+            reason,
+            "Transfer-Encoding: chunked",
+            extra_headers,
+            keep_alive,
         );
-        for line in extra_headers {
-            head.push_str(line);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
         stream.write_all(head.as_bytes())?;
-        stream.flush()?;
         Ok(Self { stream })
     }
 
-    /// Writes and flushes one chunk.
+    /// Writes one chunk in one write; an empty `data` writes nothing.
     ///
     /// # Errors
     ///
     /// Any socket error — the caller treats a failure as "client went
     /// away" and cancels the work feeding this stream.
     pub fn chunk(&mut self, data: &str) -> io::Result<()> {
-        if data.is_empty() {
-            return Ok(()); // an empty chunk would terminate the stream
-        }
-        write!(self.stream, "{:x}\r\n{data}\r\n", data.len())?;
-        self.stream.flush()
+        self.stream.write_all(frame_chunk(data).as_bytes())
     }
 
     /// Terminates the chunked stream.
@@ -310,8 +351,7 @@ impl<'a> ChunkedWriter<'a> {
     ///
     /// Any socket error.
     pub fn end(self) -> io::Result<()> {
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        self.stream.write_all(b"0\r\n\r\n")
     }
 
     /// Liveness probe between chunks: true when the client has gone away
@@ -404,6 +444,63 @@ mod tests {
         assert_eq!((second.path.as_str(), second.body.as_str()), ("/b", "two"));
         assert!(carry.is_empty());
         writer.join().expect("writer thread");
+    }
+
+    #[test]
+    fn keep_alive_response_frames_head_and_body_together() {
+        let framed = frame_response(
+            200,
+            "OK",
+            "{\"a\":1}\n",
+            &["Retry-After: 1", "X-Request-Id: 7"],
+            true,
+        );
+        assert_eq!(
+            String::from_utf8(framed).expect("UTF-8"),
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\
+             Connection: keep-alive\r\nRetry-After: 1\r\nX-Request-Id: 7\r\n\r\n{\"a\":1}\n"
+        );
+    }
+
+    #[test]
+    fn close_response_announces_the_close() {
+        let framed = frame_response(400, "Bad Request", "{}", &[], false);
+        assert_eq!(
+            String::from_utf8(framed).expect("UTF-8"),
+            "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\n\
+             Content-Length: 2\r\nConnection: close\r\n\r\n{}"
+        );
+    }
+
+    #[test]
+    fn chunks_frame_as_hex_length_and_data() {
+        let line = "{\"threshold\":0.1}\n";
+        assert_eq!(frame_chunk(line), format!("12\r\n{line}\r\n"));
+        assert_eq!(frame_chunk("x"), "1\r\nx\r\n");
+        assert_eq!(frame_chunk(""), "");
+    }
+
+    #[test]
+    fn chunked_writer_sends_head_chunks_and_terminator() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let (mut server, _) = listener.accept().expect("accept");
+        let mut writer =
+            ChunkedWriter::begin(&mut server, 200, "OK", &["X-Request-Id: 3"], true).expect("head");
+        writer.chunk("ab").expect("chunk");
+        writer.chunk("").expect("empty chunk");
+        writer.chunk("c").expect("chunk");
+        writer.end().expect("end");
+        drop(server);
+        let mut received = String::new();
+        client.read_to_string(&mut received).expect("read");
+        assert_eq!(
+            received,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+             Transfer-Encoding: chunked\r\nConnection: keep-alive\r\nX-Request-Id: 3\r\n\r\n\
+             2\r\nab\r\n1\r\nc\r\n0\r\n\r\n"
+        );
     }
 
     #[test]

@@ -30,18 +30,13 @@
 //! the per-chain reports back into sequence order — same verdicts, byte
 //! for byte, as one sequential engine.
 
-use crate::cache::SingleFlightCache;
-use crate::server::{
-    artifact_address, chained_address, effective_jobs, pair_body, CachedAnalysis, ResynthArtifact,
-};
+use crate::server::{effective_jobs, FrontCaches, ResynthArtifact};
 use crate::wire::{
     self, DeltaRequest, SuiteRequest, SweepRequest, SynthesizeRequest, WorkRequest, WorkSpec,
+    WorkloadSpec,
 };
-use stbus_core::phase1::CollectedTraffic;
-use stbus_core::pipeline::{AnalysisArtifact, AnalysisKey, Collected, CollectionKey};
 use stbus_exec::CancelToken;
 use stbus_journal::{replay_records, Record, RecordKind, ReplayReport};
-use stbus_milp::{Binding, WarmStart};
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::Arc;
@@ -62,8 +57,7 @@ use std::sync::Arc;
 /// assert!(replay.is_clean());
 /// ```
 pub struct ReplayEngine {
-    collect_cache: SingleFlightCache<[u64; 4], CollectedTraffic>,
-    analysis_cache: SingleFlightCache<[u64; 8], AnalysisArtifact>,
+    front: FrontCaches,
     /// The engine's own re-synthesis store, keyed by the same content
     /// addresses the live server issued. Unbounded: a replay run is
     /// finite and offline, so fidelity beats eviction.
@@ -81,8 +75,7 @@ impl ReplayEngine {
     #[must_use]
     pub fn new(jobs: Option<NonZeroUsize>) -> Self {
         Self {
-            collect_cache: SingleFlightCache::new(usize::MAX),
-            analysis_cache: SingleFlightCache::new(usize::MAX),
+            front: FrontCaches::new(usize::MAX),
             artifacts: HashMap::new(),
             jobs,
             token: CancelToken::new(),
@@ -131,48 +124,14 @@ impl ReplayEngine {
             return Ok(None);
         };
         let strategy = request.solver.synthesizer(self.jobs_for(request.jobs));
-        let solver = request.solver.to_string();
-        let app = Arc::new(spec.build());
-        let front = CachedAnalysis::build_with(
-            &self.collect_cache,
-            &self.analysis_cache,
-            &app,
-            &request.params,
-        );
-        let analyzed = front
-            .collected
-            .analyze_with(&front.artifact, &request.params);
-        let designed = match analyzed.synthesize_cancellable(&*strategy, &self.token) {
-            Ok(Some(designed)) => designed,
+        let front = self.front.front(spec, &request.params);
+        let solved = match front.solve(request, &*strategy, &self.token) {
+            Ok(Some(solved)) => solved,
             Ok(None) => return Err("cancelled (replay token is never raised)".to_string()),
             Err(e) => return Err(e.to_string()),
         };
-        let address = artifact_address(
-            &app,
-            &request.params,
-            request.solver,
-            request.pruning,
-            request.search,
-        );
-        let body = pair_body(
-            app.name(),
-            &designed.it.to_json(&solver),
-            &designed.ti.to_json(&solver),
-            &address,
-        );
-        self.artifacts.insert(
-            address,
-            ResynthArtifact {
-                app: Arc::clone(&app),
-                params: request.params.clone(),
-                solver: request.solver,
-                traffic: front.collected.traffic().clone(),
-                analysis: (*front.artifact).clone(),
-                warm_it: designed.it.binding.clone(),
-                warm_ti: designed.ti.binding.clone(),
-            },
-        );
-        Ok(Some(body))
+        self.artifacts.insert(solved.address, solved.artifact);
+        Ok(Some(solved.body))
     }
 
     fn replay_delta(&mut self, request: &DeltaRequest) -> Result<Option<String>, String> {
@@ -184,57 +143,17 @@ impl ReplayEngine {
             return Ok(None);
         };
         let strategy = stored.solver.synthesizer(self.jobs_for(request.jobs));
-        let solver = stored.solver.to_string();
-        let app = Arc::clone(&stored.app);
-        let collected = Collected::from_cached(&app, &stored.params, stored.traffic.clone());
-        let analyzed = collected.analyze_with(&stored.analysis, &stored.params);
-        let re = analyzed
+        let re = stored
             .reanalyze(&request.delta)
             .map_err(|e| e.to_string())?;
-        let base = re.params().clone();
-        let warmed = |binding: &Binding| {
-            let mut params = base.clone();
-            params.solve_limits = params
-                .solve_limits
-                .clone()
-                .with_warm_start(WarmStart::new(binding.clone()));
-            params
-        };
-        let solve = |pre, binding: &Binding| match strategy.synthesize_cancellable(
-            pre,
-            &warmed(binding),
-            &self.token,
-        ) {
-            Ok(Some(outcome)) => Ok(outcome),
-            Ok(None) => Err("cancelled (replay token is never raised)".to_string()),
-            Err(e) => Err(e.to_string()),
-        };
-        let out_it = solve(re.pre_it(), &stored.warm_it)?;
-        let out_ti = solve(re.pre_ti(), &stored.warm_ti)?;
-        let address = chained_address(&request.artifact, &request.delta);
-        let body = pair_body(
-            app.name(),
-            &out_it.to_json(&solver),
-            &out_ti.to_json(&solver),
-            &address,
-        );
-        let deposit = ResynthArtifact {
-            app: Arc::clone(&app),
-            params: base.clone(),
-            solver: stored.solver,
-            traffic: re.collected().traffic().clone(),
-            analysis: AnalysisArtifact::from_parts(
-                CollectionKey::of(&base),
-                AnalysisKey::of(&base),
-                (re.pre_it().stats.clone(), re.pre_it().profile.clone()),
-                (re.pre_ti().stats.clone(), re.pre_ti().profile.clone()),
-            ),
-            warm_it: out_it.binding,
-            warm_ti: out_ti.binding,
+        let solved = match stored.solve_delta(&re, request, &*strategy, &self.token) {
+            Ok(Some(solved)) => solved,
+            Ok(None) => return Err("cancelled (replay token is never raised)".to_string()),
+            Err(e) => return Err(e.to_string()),
         };
         drop(re);
-        self.artifacts.insert(address, deposit);
-        Ok(Some(body))
+        self.artifacts.insert(solved.address, solved.artifact);
+        Ok(Some(solved.body))
     }
 
     /// Replays a completed sweep sequentially, accumulating the exact
@@ -247,18 +166,14 @@ impl ReplayEngine {
         };
         let strategy = base.solver.synthesizer(self.jobs_for(base.jobs));
         let solver = base.solver.to_string();
-        let app = spec.build();
-        let front = CachedAnalysis::build_with(
-            &self.collect_cache,
-            &self.analysis_cache,
-            &app,
-            &base.params,
-        );
+        let front = self.front.front(spec, &base.params);
         let mut transcript = String::new();
         for &theta in &request.thresholds {
             let params = base.params.clone().with_overlap_threshold(theta);
-            let analyzed = front.collected.analyze_with(&front.artifact, &params);
-            match analyzed.synthesize_cancellable(&*strategy, &self.token) {
+            match front
+                .analyze(&params)
+                .synthesize_cancellable(&*strategy, &self.token)
+            {
                 Ok(Some(designed)) => transcript.push_str(&format!(
                     "{{\"threshold\":{theta},\"it\":{},\"ti\":{}}}\n",
                     designed.it.to_json(&solver),
@@ -279,13 +194,13 @@ impl ReplayEngine {
     fn replay_suite(&mut self, request: &SuiteRequest) -> Result<Option<String>, String> {
         let strategy = request.solver.synthesizer(self.jobs_for(request.jobs));
         let solver = request.solver.to_string();
+        let specs = WorkloadSpec::paper_suite(request.seed);
         let apps = stbus_traffic::workloads::paper_suite(request.seed);
         let mut rows = Vec::with_capacity(apps.len());
-        for app in &apps {
+        for (spec, app) in specs.iter().zip(apps) {
             let params = request.app_params(app.name());
-            let front =
-                CachedAnalysis::build_with(&self.collect_cache, &self.analysis_cache, app, &params);
-            let analyzed = front.collected.analyze_with(&front.artifact, &params);
+            let front = self.front.front_with(spec, &params, || Arc::new(app));
+            let analyzed = front.analyze(&params);
             let designed = match analyzed.synthesize_cancellable(&*strategy, &self.token) {
                 Ok(Some(designed)) => designed,
                 Ok(None) => return Err("cancelled (replay token is never raised)".to_string()),

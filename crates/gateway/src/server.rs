@@ -35,20 +35,31 @@
 //! # Caching
 //!
 //! Workload-mode requests run the staged pipeline through two
-//! process-wide [`SingleFlightCache`]s:
+//! process-wide [`SingleFlightCache`]s, each bounded by
+//! [`GatewayConfig::cache_entries`]:
 //!
-//! * **collect cache** — key `[app digest, CollectionKey fingerprint…]`,
-//!   value the phase-1 [`CollectedTraffic`] (the expensive reference
-//!   simulation);
-//! * **analysis cache** — key extends the collect key with the
-//!   [`AnalysisKey`] fingerprint, value the phase-2 sweep-resident
+//! * **collect cache** — key `[WorkloadSpec fingerprint, CollectionKey
+//!   fingerprint…]`, value a `CollectEntry`: the `Arc<Application>`
+//!   the spec builds, its [`Application::content_digest`], and the
+//!   phase-1 `Arc<CollectedTraffic>` (the expensive reference
+//!   simulation). Keying on the request's spec (generator and seed)
+//!   means a warm request never regenerates its application or digests
+//!   it again: [`WorkloadSpec::build`] is a pure function of the spec.
+//! * **analysis cache** — key `[app digest, CollectionKey fingerprint…,
+//!   AnalysisKey fingerprint…]`, value the phase-2 sweep-resident
 //!   [`AnalysisArtifact`].
 //!
-//! Keys are content addresses: the application digest covers every
-//! trace event, and the fingerprints are injective encodings of the
-//! parameter subsets each phase depends on, so a cache hit is provably
-//! the same computation. Trace-mode requests bypass the caches (their
-//! input has no application identity) and match the CLI byte for byte.
+//! Both keys are injective encodings of everything their value depends
+//! on, so a cache hit is provably the same computation. A hit copies
+//! nothing: `CachedAnalysis` holds `Arc`s of the entry's application,
+//! traffic and analysis, the phase-2 re-threshold reads the traffic
+//! through one more `Arc`, and the `ResynthArtifact` a solve deposits
+//! shares the same three. The digest is computed once per collect miss
+//! and reused for the analysis key and the artifact address.
+//! `/suite` reaches the same entries through the five specs of
+//! `WorkloadSpec::paper_suite`. Trace-mode requests bypass the caches
+//! (their input has no application identity) and match the CLI byte for
+//! byte.
 //!
 //! # Incremental re-synthesis
 //!
@@ -69,23 +80,30 @@
 //! answers `404`; the client falls back to a from-scratch request.
 //! `/stats` exposes `delta_reuse` / `delta_miss` counters, plus a
 //! `by_tenant` breakdown attributing served requests and delta reuse to
-//! the `X-Tenant` that earned them.
+//! the `X-Tenant` that earned them. A θ-only delta changes neither the
+//! traffic nor the window analysis, so its deposit shares both `Arc`s
+//! with its parent; a traffic delta owns its patched copies.
 //!
 //! [`AnalysisKey`]: stbus_core::pipeline::AnalysisKey
+//! [`WorkloadSpec::build`]: crate::wire::WorkloadSpec::build
 
 use crate::admission::{IngressQueue, SubmitError};
 use crate::cache::SingleFlightCache;
 use crate::http::{self, ChunkedWriter, ReadOutcome, Request};
-use crate::wire::{self, DeltaRequest, SuiteRequest, SynthesizeRequest, WorkRequest, WorkSpec};
+use crate::wire::{
+    self, DeltaRequest, SuiteRequest, SynthesizeRequest, WorkRequest, WorkSpec, WorkloadSpec,
+};
 use stbus_core::phase1::CollectedTraffic;
-use stbus_core::pipeline::{AnalysisArtifact, AnalysisKey, Collected, CollectionKey, Pipeline};
-use stbus_core::{DesignParams, Preprocessed, SolverKind};
+use stbus_core::pipeline::{
+    AnalysisArtifact, AnalysisKey, Analyzed, Collected, CollectionKey, Pipeline,
+};
+use stbus_core::{DesignParams, FlowError, Preprocessed, SolverKind, Synthesizer};
 use stbus_exec as exec;
 use stbus_exec::CancelToken;
 use stbus_journal::{FsyncPolicy, JournalWriter, Record, RecordKind, RecordStatus, WriterOptions};
-use stbus_milp::{Binding, NodeLimitExceeded, PruningLevel, SearchLevel, WarmStart};
+use stbus_milp::{Binding, NodeLimitExceeded, SearchLevel, WarmStart};
 use stbus_traffic::workloads::Application;
-use stbus_traffic::WorkloadDelta;
+use stbus_traffic::{DeltaError, WorkloadDelta};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -203,21 +221,24 @@ struct TenantCounters {
 /// warm starts).
 /// Shared with [`crate::replay`], whose engine maintains the same store
 /// to chain deltas during offline replay.
+///
+/// The traffic and analysis are shared, not copied: with the collect
+/// and analysis cache entries they came from, and from parent to child
+/// along a chain of θ-only deltas.
 pub(crate) struct ResynthArtifact {
-    pub(crate) app: Arc<Application>,
-    pub(crate) params: DesignParams,
+    app: Arc<Application>,
+    params: DesignParams,
     pub(crate) solver: SolverKind,
-    pub(crate) traffic: CollectedTraffic,
-    pub(crate) analysis: AnalysisArtifact,
-    pub(crate) warm_it: Binding,
-    pub(crate) warm_ti: Binding,
+    traffic: Arc<CollectedTraffic>,
+    analysis: Arc<AnalysisArtifact>,
+    warm_it: Binding,
+    warm_ti: Binding,
 }
 
 /// State shared by the acceptor, connection threads and workers.
 struct Shared {
     queue: IngressQueue<Job>,
-    collect_cache: SingleFlightCache<[u64; 4], CollectedTraffic>,
-    analysis_cache: SingleFlightCache<[u64; 8], AnalysisArtifact>,
+    front: FrontCaches,
     /// Deposit-only store of re-synthesis artifacts, keyed by content
     /// address. Entries are only ever [`SingleFlightCache::insert`]ed
     /// (a miss answers `404`, nothing is recomputed) and share the LRU
@@ -334,8 +355,7 @@ impl Gateway {
                     .unwrap_or(config.queue_depth)
                     .max(1),
             ),
-            collect_cache: SingleFlightCache::new(config.cache_entries.max(1)),
-            analysis_cache: SingleFlightCache::new(config.cache_entries.max(1)),
+            front: FrontCaches::new(config.cache_entries.max(1)),
             resynth_cache: SingleFlightCache::new(config.cache_entries.max(1)),
             served: AtomicU64::new(counters.served),
             rejected: AtomicU64::new(counters.rejected),
@@ -520,6 +540,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// shutdown, failed write).
 fn handle_connection(stream: &mut TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
     let _ = stream.set_read_timeout(Some(shared.idle_timeout));
+    // Every response leaves in one write (see `http`); without this,
+    // Nagle holds a keep-alive response until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let mut carry = Vec::new();
     for served in 0..shared.keep_alive_requests {
         let request = match http::read_request(stream, &mut carry) {
@@ -923,44 +946,249 @@ fn reply_solver_error(shared: &Arc<Shared>, job: &Job, error: &dyn std::fmt::Dis
     });
 }
 
-/// The cached phase-1/phase-2 front half of a workload-mode request:
-/// collect (or reuse) the traffic, analyze (or reuse) the windows.
-/// Shared with [`crate::replay`], which drives the same front half
-/// against its own (offline) caches.
-pub(crate) struct CachedAnalysis<'a> {
-    pub(crate) collected: Collected<'a>,
-    pub(crate) artifact: Arc<AnalysisArtifact>,
+/// One collect-cache entry: the application a workload spec builds,
+/// its content digest, and its phase-1 traffic under one
+/// [`CollectionKey`]. The entry is keyed by the spec, so a warm request
+/// finds all three without generating, digesting or collecting again.
+pub(crate) struct CollectEntry {
+    app: Arc<Application>,
+    digest: u64,
+    traffic: Arc<CollectedTraffic>,
 }
 
-impl<'a> CachedAnalysis<'a> {
-    fn build(shared: &Shared, app: &'a Application, params: &DesignParams) -> Self {
-        Self::build_with(&shared.collect_cache, &shared.analysis_cache, app, params)
+/// The two caches of the workload-mode front half. The live server
+/// holds one pair, bounded by [`GatewayConfig::cache_entries`]; each
+/// replay engine holds its own.
+pub(crate) struct FrontCaches {
+    /// Key: the [`WorkloadSpec`] fingerprint, then the
+    /// [`CollectionKey`] fingerprint.
+    collect: SingleFlightCache<[u64; 5], CollectEntry>,
+    /// Key: the application digest, then the [`CollectionKey`] and
+    /// [`AnalysisKey`] fingerprints.
+    analysis: SingleFlightCache<[u64; 8], AnalysisArtifact>,
+}
+
+impl FrontCaches {
+    pub(crate) fn new(capacity: usize) -> Self {
+        Self {
+            collect: SingleFlightCache::new(capacity),
+            analysis: SingleFlightCache::new(capacity),
+        }
     }
 
-    /// The cache-backed front half against caller-supplied caches — the
-    /// live server passes the process-wide pair, the replay engine its
-    /// own private pair.
-    pub(crate) fn build_with(
-        collect_cache: &SingleFlightCache<[u64; 4], CollectedTraffic>,
-        analysis_cache: &SingleFlightCache<[u64; 8], AnalysisArtifact>,
-        app: &'a Application,
+    /// The cached phase-1/phase-2 front half of a workload-mode request:
+    /// look up (or build and collect) the application, then look up (or
+    /// run) the window analysis.
+    pub(crate) fn front(&self, spec: &WorkloadSpec, params: &DesignParams) -> CachedAnalysis {
+        self.front_with(spec, params, || Arc::new(spec.build()))
+    }
+
+    /// [`FrontCaches::front`] with the caller supplying the application
+    /// on a collect miss — `/suite` already holds its applications.
+    /// `app` must build what `spec` builds.
+    pub(crate) fn front_with(
+        &self,
+        spec: &WorkloadSpec,
         params: &DesignParams,
-    ) -> Self {
-        let digest = app.content_digest();
+        app: impl FnOnce() -> Arc<Application>,
+    ) -> CachedAnalysis {
+        let [generator, seed] = spec.fingerprint();
         let ck = CollectionKey::of(params).fingerprint();
-        let collect_key = [digest, ck[0], ck[1], ck[2]];
-        let traffic = collect_cache.get_or_compute(collect_key, || {
-            Pipeline::collect(app, params).into_traffic()
-        });
-        let collected = Collected::from_cached(app, params, (*traffic).clone());
+        let entry = self
+            .collect
+            .get_or_compute([generator, seed, ck[0], ck[1], ck[2]], || {
+                let app = app();
+                let traffic = Arc::clone(Pipeline::collect(&app, params).shared_traffic());
+                CollectEntry {
+                    digest: app.content_digest(),
+                    app,
+                    traffic,
+                }
+            });
         let ak = AnalysisKey::of(params).fingerprint();
-        let analysis_key = [digest, ck[0], ck[1], ck[2], ak[0], ak[1], ak[2], ak[3]];
-        let artifact =
-            analysis_cache.get_or_compute(analysis_key, || collected.analysis_artifact(params));
-        Self {
-            collected,
+        let analysis_key = [
+            entry.digest,
+            ck[0],
+            ck[1],
+            ck[2],
+            ak[0],
+            ak[1],
+            ak[2],
+            ak[3],
+        ];
+        let artifact = self.analysis.get_or_compute(analysis_key, || {
+            Collected::from_cached(&entry.app, params, Arc::clone(&entry.traffic))
+                .analysis_artifact(params)
+        });
+        CachedAnalysis {
+            app: Arc::clone(&entry.app),
+            digest: entry.digest,
+            traffic: Arc::clone(&entry.traffic),
             artifact,
         }
+    }
+}
+
+/// The resident phase-1/phase-2 state of one workload-mode request, as
+/// [`FrontCaches::front`] found it. Every field is shared with the
+/// cache entries; nothing here is a copy.
+pub(crate) struct CachedAnalysis {
+    app: Arc<Application>,
+    /// The application's content digest, computed once per collect miss.
+    digest: u64,
+    traffic: Arc<CollectedTraffic>,
+    artifact: Arc<AnalysisArtifact>,
+}
+
+impl CachedAnalysis {
+    /// Phase 2 at `params` from the cached window analysis: an O(pairs)
+    /// re-threshold over the shared traffic.
+    pub(crate) fn analyze(&self, params: &DesignParams) -> Analyzed<'_> {
+        Collected::from_cached(&self.app, params, Arc::clone(&self.traffic))
+            .analyze_with(&self.artifact, params)
+    }
+
+    /// The re-synthesis artifact of a solve of `request` that produced
+    /// these bindings.
+    pub(crate) fn deposit(
+        &self,
+        request: &SynthesizeRequest,
+        warm_it: Binding,
+        warm_ti: Binding,
+    ) -> ResynthArtifact {
+        ResynthArtifact {
+            app: Arc::clone(&self.app),
+            params: request.params.clone(),
+            solver: request.solver,
+            traffic: Arc::clone(&self.traffic),
+            analysis: Arc::clone(&self.artifact),
+            warm_it,
+            warm_ti,
+        }
+    }
+
+    /// Phase 3 of a workload-mode `/synthesize` on this front half: the
+    /// response body, its artifact address and the artifact to deposit
+    /// there. `Ok(None)` when `cancel` is raised.
+    pub(crate) fn solve(
+        &self,
+        request: &SynthesizeRequest,
+        strategy: &dyn Synthesizer,
+        cancel: &CancelToken,
+    ) -> Result<Option<SolvedPair>, FlowError> {
+        let analyzed = self.analyze(&request.params);
+        let Some(designed) = analyzed.synthesize_cancellable(strategy, cancel)? else {
+            return Ok(None);
+        };
+        let solver = request.solver.to_string();
+        let address = artifact_address(self.digest, request);
+        let body = pair_body(
+            self.app.name(),
+            &designed.it.to_json(&solver),
+            &designed.ti.to_json(&solver),
+            &address,
+        );
+        let artifact = self.deposit(
+            request,
+            designed.it.binding.clone(),
+            designed.ti.binding.clone(),
+        );
+        Ok(Some(SolvedPair {
+            body,
+            address,
+            artifact,
+        }))
+    }
+}
+
+impl ResynthArtifact {
+    /// Phase 2 of a delta request against this artifact: rebuild the
+    /// analyzed state from the stored traffic and analysis, then patch
+    /// it with `delta`. Phases 1–2 never re-run.
+    pub(crate) fn reanalyze(&self, delta: &WorkloadDelta) -> Result<Analyzed<'_>, DeltaError> {
+        Collected::from_cached(&self.app, &self.params, Arc::clone(&self.traffic))
+            .analyze_with(&self.analysis, &self.params)
+            .reanalyze(delta)
+    }
+
+    /// The artifact a delta solve deposits: `re` (from
+    /// [`ResynthArtifact::reanalyze`] with `delta`) and the bindings it
+    /// produced. A θ-only delta leaves the traffic and the window
+    /// analysis as they were, so the child shares both with this
+    /// artifact; a traffic delta owns its patched ones.
+    pub(crate) fn chained(
+        &self,
+        re: &Analyzed<'_>,
+        delta: &WorkloadDelta,
+        warm_it: Binding,
+        warm_ti: Binding,
+    ) -> Self {
+        let params = re.params().clone();
+        let analysis = if delta.touches_traffic() {
+            Arc::new(AnalysisArtifact::from_parts(
+                CollectionKey::of(&params),
+                AnalysisKey::of(&params),
+                (re.pre_it().stats.clone(), re.pre_it().profile.clone()),
+                (re.pre_ti().stats.clone(), re.pre_ti().profile.clone()),
+            ))
+        } else {
+            Arc::clone(&self.analysis)
+        };
+        Self {
+            app: Arc::clone(&self.app),
+            params,
+            solver: self.solver,
+            traffic: Arc::clone(re.collected().shared_traffic()),
+            analysis,
+            warm_it,
+            warm_ti,
+        }
+    }
+
+    /// Phase 3 of a delta request: each direction warm-started from this
+    /// artifact's binding, replied under the chained address. `Ok(None)`
+    /// when `cancel` is raised.
+    pub(crate) fn solve_delta(
+        &self,
+        re: &Analyzed<'_>,
+        request: &DeltaRequest,
+        strategy: &dyn Synthesizer,
+        cancel: &CancelToken,
+    ) -> Result<Option<SolvedPair>, NodeLimitExceeded> {
+        // Per-direction warm starts: the strategy's own limits are unset
+        // (`synthesizer` leaves them `None`), so each direction's params —
+        // carrying that direction's previous binding — reach the search.
+        // The warm start never changes verdicts, probe logs or bus counts
+        // (see `SolveLimits::warm_start`); it only lets the search seed or
+        // short-circuit from the previous answer.
+        let solve = |pre, warm: &Binding| {
+            let mut params = re.params().clone();
+            params.solve_limits = params
+                .solve_limits
+                .clone()
+                .with_warm_start(WarmStart::new(warm.clone()));
+            strategy.synthesize_cancellable(pre, &params, cancel)
+        };
+        let Some(it) = solve(re.pre_it(), &self.warm_it)? else {
+            return Ok(None);
+        };
+        let Some(ti) = solve(re.pre_ti(), &self.warm_ti)? else {
+            return Ok(None);
+        };
+        let solver = self.solver.to_string();
+        let address = chained_address(&request.artifact, &request.delta);
+        let body = pair_body(
+            self.app.name(),
+            &it.to_json(&solver),
+            &ti.to_json(&solver),
+            &address,
+        );
+        let artifact = self.chained(re, &request.delta, it.binding, ti.binding);
+        Ok(Some(SolvedPair {
+            body,
+            address,
+            artifact,
+        }))
     }
 }
 
@@ -968,7 +1196,7 @@ impl<'a> CachedAnalysis<'a> {
 /// content-address hash of the re-synthesis artifact store. Addresses
 /// only need to be stable within one server process (a client always
 /// learns them from a response), so no cross-version contract.
-pub(crate) fn fnv1a(words: &[u64], tags: &[u8]) -> u64 {
+fn fnv1a(words: &[u64], tags: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |byte: u8| {
@@ -986,24 +1214,20 @@ pub(crate) fn fnv1a(words: &[u64], tags: &[u8]) -> u64 {
     hash
 }
 
-/// Content address of a fresh workload-mode artifact: application
-/// digest, both phase fingerprints, and the solve-relevant knobs (θ,
-/// `maxtb`, solver, pruning, search). `jobs` is excluded — it is
+/// Content address of a fresh workload-mode artifact for `request`:
+/// the application `digest` ([`Application::content_digest`]), both
+/// phase fingerprints, and the solve-relevant knobs (θ, `maxtb`,
+/// solver, pruning, search). `jobs` is excluded — it is
 /// result-invariant. A `learned` search folds an extra tag into the
 /// address (its binding may legitimately differ from the standard
 /// engine's); `standard`/unset requests keep the historical address
 /// bytes, so journals written before the knob existed still restore.
-pub(crate) fn artifact_address(
-    app: &Application,
-    params: &DesignParams,
-    solver: SolverKind,
-    pruning: Option<PruningLevel>,
-    search: Option<SearchLevel>,
-) -> String {
+fn artifact_address(digest: u64, request: &SynthesizeRequest) -> String {
+    let params = &request.params;
     let ck = CollectionKey::of(params).fingerprint();
     let ak = AnalysisKey::of(params).fingerprint();
     let words = [
-        app.content_digest(),
+        digest,
         ck[0],
         ck[1],
         ck[2],
@@ -1014,8 +1238,8 @@ pub(crate) fn artifact_address(
         params.overlap_threshold.to_bits(),
         params.maxtb as u64,
     ];
-    let mut tags = format!("{solver}|{pruning:?}");
-    if search == Some(SearchLevel::Learned) {
+    let mut tags = format!("{}|{:?}", request.solver, request.pruning);
+    if request.search == Some(SearchLevel::Learned) {
         tags.push_str("|learned");
     }
     format!("{:016x}", fnv1a(&words, tags.as_bytes()))
@@ -1024,7 +1248,7 @@ pub(crate) fn artifact_address(
 /// Content address of a chained artifact: the parent address folded with
 /// an injective encoding of the delta, so the same edit sequence always
 /// lands on the same entry and distinct edits never collide by design.
-pub(crate) fn chained_address(parent: &str, delta: &WorkloadDelta) -> String {
+fn chained_address(parent: &str, delta: &WorkloadDelta) -> String {
     let mut words = vec![delta.add_targets as u64, delta.removed.len() as u64];
     for t in &delta.removed {
         words.push(t.index() as u64);
@@ -1059,21 +1283,28 @@ pub(crate) fn pair_body(app_name: &str, it_json: &str, ti_json: &str, address: &
     )
 }
 
-/// Everything a successful both-direction solve deposits and replies.
-struct SolvedPair {
-    body: String,
-    address: String,
-    traffic: CollectedTraffic,
-    analysis: AnalysisArtifact,
-    params: DesignParams,
-    warm_it: Binding,
-    warm_ti: Binding,
+/// Everything a successful both-direction solve replies and deposits.
+pub(crate) struct SolvedPair {
+    pub(crate) body: String,
+    pub(crate) address: String,
+    pub(crate) artifact: ResynthArtifact,
+}
+
+impl SolvedPair {
+    /// Deposits the artifact under its address, then replies the body —
+    /// in that order, so the address resolves by the time a client has
+    /// read it.
+    fn deposit_and_reply(self, shared: &Arc<Shared>, job: &Job) {
+        shared
+            .resynth_cache
+            .insert(self.address, Arc::new(self.artifact));
+        reply_outcome_line(shared, job, &self.body);
+    }
 }
 
 fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &Job) {
     let jobs = effective_jobs(request.jobs);
     let strategy = request.solver.synthesizer(jobs);
-    let solver = request.solver.to_string();
     match &request.work {
         WorkSpec::Trace(trace) => {
             // Byte-identical to `stbus synthesize --trace … --json` —
@@ -1081,80 +1312,22 @@ fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &J
             // identity to address).
             let pre = Preprocessed::analyze(trace, &request.params);
             match strategy.synthesize_cancellable(&pre, &request.params, &job.token) {
-                Ok(Some(outcome)) => reply_outcome_line(shared, job, &outcome.to_json(&solver)),
+                Ok(Some(outcome)) => {
+                    reply_outcome_line(shared, job, &outcome.to_json(&request.solver.to_string()));
+                }
                 Ok(None) => reply_cancelled(shared, job),
                 Err(e) => reply_solver_error(shared, job, &e),
             }
         }
         WorkSpec::Workload(spec) => {
-            let app = Arc::new(spec.build());
-            let solved = {
-                let front = CachedAnalysis::build(shared, &app, &request.params);
-                let analyzed = front
-                    .collected
-                    .analyze_with(&front.artifact, &request.params);
-                match analyzed.synthesize_cancellable(&*strategy, &job.token) {
-                    Ok(Some(designed)) => {
-                        let address = artifact_address(
-                            &app,
-                            &request.params,
-                            request.solver,
-                            request.pruning,
-                            request.search,
-                        );
-                        let body = pair_body(
-                            app.name(),
-                            &designed.it.to_json(&solver),
-                            &designed.ti.to_json(&solver),
-                            &address,
-                        );
-                        Some(SolvedPair {
-                            body,
-                            address,
-                            traffic: front.collected.traffic().clone(),
-                            analysis: (*front.artifact).clone(),
-                            params: request.params.clone(),
-                            warm_it: designed.it.binding.clone(),
-                            warm_ti: designed.ti.binding.clone(),
-                        })
-                    }
-                    Ok(None) => {
-                        reply_cancelled(shared, job);
-                        None
-                    }
-                    Err(e) => {
-                        reply_solver_error(shared, job, &e);
-                        None
-                    }
-                }
-            };
-            if let Some(solved) = solved {
-                deposit_artifact(shared, &app, request.solver, &solved);
-                reply_outcome_line(shared, job, &solved.body);
+            let front = shared.front.front(spec, &request.params);
+            match front.solve(request, &*strategy, &job.token) {
+                Ok(Some(solved)) => solved.deposit_and_reply(shared, job),
+                Ok(None) => reply_cancelled(shared, job),
+                Err(e) => reply_solver_error(shared, job, &e),
             }
         }
     }
-}
-
-/// Deposits a solved pair into the re-synthesis store under its address.
-fn deposit_artifact(
-    shared: &Shared,
-    app: &Arc<Application>,
-    solver: SolverKind,
-    solved: &SolvedPair,
-) {
-    shared.resynth_cache.insert(
-        solved.address.clone(),
-        Arc::new(ResynthArtifact {
-            app: Arc::clone(app),
-            params: solved.params.clone(),
-            solver,
-            traffic: solved.traffic.clone(),
-            analysis: solved.analysis.clone(),
-            warm_it: solved.warm_it.clone(),
-            warm_ti: solved.warm_ti.clone(),
-        }),
-    );
 }
 
 /// Rebuilds the artifact caches from the snapshot ring of journaled
@@ -1196,26 +1369,10 @@ fn restore_synthesize(shared: &Arc<Shared>, record: &Record) -> bool {
     let Some((warm_it, warm_ti)) = bindings_from_outcome(&record.outcome) else {
         return false;
     };
-    let app = Arc::new(spec.build());
-    let front = CachedAnalysis::build(shared, &app, &request.params);
-    let address = artifact_address(
-        &app,
-        &request.params,
-        request.solver,
-        request.pruning,
-        request.search,
-    );
+    let front = shared.front.front(spec, &request.params);
     shared.resynth_cache.insert(
-        address,
-        Arc::new(ResynthArtifact {
-            app: Arc::clone(&app),
-            params: request.params.clone(),
-            solver: request.solver,
-            traffic: front.collected.traffic().clone(),
-            analysis: (*front.artifact).clone(),
-            warm_it,
-            warm_ti,
-        }),
+        artifact_address(front.digest, &request),
+        Arc::new(front.deposit(&request, warm_it, warm_ti)),
     );
     true
 }
@@ -1236,39 +1393,21 @@ fn restore_delta(shared: &Arc<Shared>, record: &Record) -> bool {
     let Some(address) = outcome_artifact_address(&record.outcome) else {
         return false;
     };
-    let app = Arc::clone(&stored.app);
-    let collected = Collected::from_cached(&app, &stored.params, stored.traffic.clone());
-    let analyzed = collected.analyze_with(&stored.analysis, &stored.params);
-    let Ok(re) = analyzed.reanalyze(&request.delta) else {
+    let Ok(re) = stored.reanalyze(&request.delta) else {
         return false;
     };
-    let base = re.params().clone();
-    let analysis = AnalysisArtifact::from_parts(
-        CollectionKey::of(&base),
-        AnalysisKey::of(&base),
-        (re.pre_it().stats.clone(), re.pre_it().profile.clone()),
-        (re.pre_ti().stats.clone(), re.pre_ti().profile.clone()),
-    );
     shared.resynth_cache.insert(
         address,
-        Arc::new(ResynthArtifact {
-            app: Arc::clone(&app),
-            params: base,
-            solver: stored.solver,
-            traffic: re.collected().traffic().clone(),
-            analysis,
-            warm_it,
-            warm_ti,
-        }),
+        Arc::new(stored.chained(&re, &request.delta, warm_it, warm_ti)),
     );
     true
 }
 
 /// Extracts both directions' bindings from a recorded both-direction
 /// response body (the [`pair_body`] format): each direction contributes
-/// its `assignment` array and `max_bus_overlap`. Shared with
-/// [`crate::replay`], which warm-starts replayed deltas the same way.
-pub(crate) fn bindings_from_outcome(outcome: &str) -> Option<(Binding, Binding)> {
+/// its `assignment` array and `max_bus_overlap` — the warm starts a
+/// recovered artifact resumes from.
+fn bindings_from_outcome(outcome: &str) -> Option<(Binding, Binding)> {
     let value = crate::json::parse(outcome).ok()?;
     let it = binding_from_value(value.get("it")?)?;
     let ti = binding_from_value(value.get("ti")?)?;
@@ -1330,91 +1469,33 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
         );
     }
 
-    let jobs = effective_jobs(request.jobs);
-    let strategy = stored.solver.synthesizer(jobs);
-    let solver = stored.solver.to_string();
-    let app = Arc::clone(&stored.app);
-
-    let solved = {
-        let collected = Collected::from_cached(&app, &stored.params, stored.traffic.clone());
-        let analyzed = collected.analyze_with(&stored.analysis, &stored.params);
-        let re = match analyzed.reanalyze(&request.delta) {
-            Ok(re) => re,
-            Err(e) => {
-                shared.journal_event(
-                    RecordKind::Delta,
-                    RecordStatus::Error,
-                    &job.tenant,
-                    &job.spec,
-                    &format!("delta: {e}"),
-                );
-                let _ = job.reply.send(Reply::Done {
-                    status: 400,
-                    reason: "Bad Request",
-                    body: format!(
-                        "{{\"error\":\"delta: {}\"}}\n",
-                        stbus_core::json_escape(&e.to_string())
-                    ),
-                });
-                return;
-            }
-        };
-        // Per-direction warm starts: the strategy's own limits are unset
-        // (`synthesizer` leaves them `None`), so each direction's params —
-        // carrying that direction's previous binding — reach the search.
-        // The warm start never changes verdicts, probe logs or bus counts
-        // (see `SolveLimits::warm_start`); it only lets the search seed or
-        // short-circuit from the previous answer.
-        let base = re.params().clone();
-        let solve = |pre, warm: &Binding| {
-            let mut params = base.clone();
-            params.solve_limits = params
-                .solve_limits
-                .clone()
-                .with_warm_start(WarmStart::new(warm.clone()));
-            strategy.synthesize_cancellable(pre, &params, &job.token)
-        };
-        let both = || -> Result<Option<_>, NodeLimitExceeded> {
-            let Some(it) = solve(re.pre_it(), &stored.warm_it)? else {
-                return Ok(None);
-            };
-            Ok(solve(re.pre_ti(), &stored.warm_ti)?.map(|ti| (it, ti)))
-        };
-        let (out_it, out_ti) = match both() {
-            Ok(Some(pair)) => pair,
-            Ok(None) => {
-                reply_cancelled(shared, job);
-                return;
-            }
-            Err(e) => {
-                reply_solver_error(shared, job, &e);
-                return;
-            }
-        };
-        let address = chained_address(&request.artifact, &request.delta);
-        let body = pair_body(
-            app.name(),
-            &out_it.to_json(&solver),
-            &out_ti.to_json(&solver),
-            &address,
-        );
-        SolvedPair {
-            body,
-            address,
-            traffic: re.collected().traffic().clone(),
-            analysis: AnalysisArtifact::from_parts(
-                CollectionKey::of(&base),
-                AnalysisKey::of(&base),
-                (re.pre_it().stats.clone(), re.pre_it().profile.clone()),
-                (re.pre_ti().stats.clone(), re.pre_ti().profile.clone()),
-            ),
-            params: base,
-            warm_it: out_it.binding,
-            warm_ti: out_ti.binding,
+    let strategy = stored.solver.synthesizer(effective_jobs(request.jobs));
+    let re = match stored.reanalyze(&request.delta) {
+        Ok(re) => re,
+        Err(e) => {
+            shared.journal_event(
+                RecordKind::Delta,
+                RecordStatus::Error,
+                &job.tenant,
+                &job.spec,
+                &format!("delta: {e}"),
+            );
+            let _ = job.reply.send(Reply::Done {
+                status: 400,
+                reason: "Bad Request",
+                body: format!(
+                    "{{\"error\":\"delta: {}\"}}\n",
+                    stbus_core::json_escape(&e.to_string())
+                ),
+            });
+            return;
         }
     };
-    deposit_artifact(shared, &app, stored.solver, &solved);
-    reply_outcome_line(shared, job, &solved.body);
+    match stored.solve_delta(&re, request, &*strategy, &job.token) {
+        Ok(Some(solved)) => solved.deposit_and_reply(shared, job),
+        Ok(None) => reply_cancelled(shared, job),
+        Err(e) => reply_solver_error(shared, job, &e),
+    }
 }
 
 fn reply_outcome_line(shared: &Arc<Shared>, job: &Job, line: &str) {
@@ -1511,8 +1592,7 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
                 );
             }
             WorkSpec::Workload(spec) => {
-                let app = spec.build();
-                let front = CachedAnalysis::build(shared, &app, &base.params);
+                let front = shared.front.front(spec, &base.params);
                 exec::map_streaming(
                     &request.thresholds,
                     width,
@@ -1521,8 +1601,10 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
                             return None;
                         }
                         let params = base.params.clone().with_overlap_threshold(theta);
-                        let analyzed = front.collected.analyze_with(&front.artifact, &params);
-                        match analyzed.synthesize_cancellable(&*strategy, &job.token) {
+                        match front
+                            .analyze(&params)
+                            .synthesize_cancellable(&*strategy, &job.token)
+                        {
                             Ok(Some(designed)) => Some(Ok(format!(
                                 "\"it\":{},\"ti\":{}",
                                 designed.it.to_json(&solver),
@@ -1566,9 +1648,10 @@ fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
     let jobs = effective_jobs(request.jobs);
     let strategy = request.solver.synthesizer(jobs);
     let solver = request.solver.to_string();
+    let specs = WorkloadSpec::paper_suite(request.seed);
     let apps = stbus_traffic::workloads::paper_suite(request.seed);
     let mut rows = Vec::with_capacity(apps.len());
-    for app in &apps {
+    for (spec, app) in specs.iter().zip(apps) {
         if job.token.is_cancelled() {
             reply_cancelled(shared, job);
             return;
@@ -1576,8 +1659,8 @@ fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
         // Per-application parameters pinned to the paper's, exactly as
         // in `stbus suite` — the rows must diff clean against the CLI.
         let params = request.app_params(app.name());
-        let front = CachedAnalysis::build(shared, app, &params);
-        let analyzed = front.collected.analyze_with(&front.artifact, &params);
+        let front = shared.front.front_with(spec, &params, || Arc::new(app));
+        let analyzed = front.analyze(&params);
         let designed = match analyzed.synthesize_cancellable(&*strategy, &job.token) {
             Ok(Some(designed)) => designed,
             Ok(None) => {
@@ -1602,8 +1685,8 @@ fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
 
 /// Renders the `/stats` document.
 fn stats_json(shared: &Shared) -> String {
-    let collect = shared.collect_cache.stats();
-    let analysis = shared.analysis_cache.stats();
+    let collect = shared.front.collect.stats();
+    let analysis = shared.front.analysis.stats();
     let resynth = shared.resynth_cache.stats();
     let cache = |s: crate::cache::CacheStats| {
         format!(

@@ -51,6 +51,10 @@ pub enum WorkSpec {
     Workload(WorkloadSpec),
 }
 
+/// The generators a `"suite"` spec may name. The first five, in this
+/// order, are the paper suite ([`WorkloadSpec::paper_suite`]).
+const SUITE_NAMES: [&str; 6] = ["mat1", "mat2", "fft", "qsort", "des", "synthetic"];
+
 /// A deterministic workload generator invocation.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
@@ -58,9 +62,10 @@ pub struct WorkloadSpec {
     seed: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum WorkloadKind {
-    Suite(String),
+    /// Index into [`SUITE_NAMES`].
+    Suite(usize),
     Scaled(usize),
 }
 
@@ -68,18 +73,44 @@ impl WorkloadSpec {
     /// Generates the application (deterministic per spec).
     #[must_use]
     pub fn build(&self) -> Application {
-        match &self.kind {
-            WorkloadKind::Suite(name) => match name.as_str() {
+        match self.kind {
+            WorkloadKind::Suite(index) => match SUITE_NAMES[index] {
                 "mat1" => workloads::matrix::mat1(self.seed),
                 "mat2" => workloads::matrix::mat2(self.seed),
                 "fft" => workloads::fft::fft(self.seed),
                 "qsort" => workloads::qsort::qsort(self.seed),
                 "des" => workloads::des::des(self.seed),
                 "synthetic" => workloads::synthetic::synthetic20(self.seed),
-                other => unreachable!("validated suite name `{other}`"),
+                other => unreachable!("suite name `{other}` has no generator"),
             },
-            WorkloadKind::Scaled(targets) => workloads::synthetic::scaled_soc(*targets, self.seed),
+            WorkloadKind::Scaled(targets) => workloads::synthetic::scaled_soc(targets, self.seed),
         }
+    }
+
+    /// Injective `[generator, seed]` encoding of the spec. [`build`] is a
+    /// pure function of it, so the gateway's collect cache keys on it and
+    /// a warm request never generates its application again.
+    ///
+    /// [`build`]: WorkloadSpec::build
+    #[must_use]
+    pub(crate) fn fingerprint(&self) -> [u64; 2] {
+        let generator = match self.kind {
+            WorkloadKind::Suite(index) => index,
+            WorkloadKind::Scaled(targets) => SUITE_NAMES.len() + targets,
+        };
+        [generator as u64, self.seed]
+    }
+
+    /// The specs whose builds are [`workloads::paper_suite`]`(seed)`, in
+    /// its order — the way `/suite` reaches the spec-keyed caches.
+    #[must_use]
+    pub(crate) fn paper_suite(seed: u64) -> Vec<Self> {
+        (0..5)
+            .map(|index| Self {
+                kind: WorkloadKind::Suite(index),
+                seed: seed.wrapping_add(index as u64),
+            })
+            .collect()
     }
 }
 
@@ -229,16 +260,12 @@ fn parse_work(obj: &Value) -> Result<WorkSpec, String> {
     }
     if let Some(name) = obj.get("suite") {
         let name = name.as_str().ok_or("`suite` must be a string")?;
-        if !matches!(
-            name,
-            "mat1" | "mat2" | "fft" | "qsort" | "des" | "synthetic"
-        ) {
-            return Err(format!(
-                "unknown suite `{name}` (mat1|mat2|fft|qsort|des|synthetic)"
-            ));
-        }
+        let index = SUITE_NAMES
+            .iter()
+            .position(|&known| known == name)
+            .ok_or_else(|| format!("unknown suite `{name}` ({})", SUITE_NAMES.join("|")))?;
         return Ok(WorkSpec::Workload(WorkloadSpec {
-            kind: WorkloadKind::Suite(name.to_string()),
+            kind: WorkloadKind::Suite(index),
             seed,
         }));
     }
@@ -570,6 +597,43 @@ mod tests {
             unreachable!()
         };
         assert_eq!(spec.build().name(), "Mat2");
+    }
+
+    #[test]
+    fn paper_suite_specs_build_the_paper_suite() {
+        let specs = WorkloadSpec::paper_suite(7);
+        let apps = workloads::paper_suite(7);
+        assert_eq!(specs.len(), apps.len());
+        for (spec, app) in specs.iter().zip(&apps) {
+            let built = spec.build();
+            assert_eq!(built.name(), app.name());
+            assert_eq!(built.content_digest(), app.content_digest());
+        }
+    }
+
+    #[test]
+    fn spec_fingerprints_are_injective() {
+        let spec = |body: &str| match parse_synthesize(body).unwrap().work {
+            WorkSpec::Workload(spec) => spec.fingerprint(),
+            WorkSpec::Trace(_) => unreachable!("workload body"),
+        };
+        let prints = [
+            spec(r#"{"suite":"mat2","seed":1}"#),
+            spec(r#"{"suite":"mat2","seed":2}"#),
+            spec(r#"{"suite":"mat1","seed":1}"#),
+            spec(r#"{"suite":"synthetic","seed":1}"#),
+            spec(r#"{"scaled":1,"seed":1}"#),
+            spec(r#"{"scaled":2,"seed":1}"#),
+        ];
+        for (i, a) in prints.iter().enumerate() {
+            for b in &prints[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+        assert_eq!(
+            spec(r#"{"suite":"fft","seed":9}"#),
+            spec(r#"{"seed":9,"suite":"fft"}"#)
+        );
     }
 
     #[test]

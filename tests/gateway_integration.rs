@@ -24,7 +24,7 @@ use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetEdit, TargetId, TraceEvent, WorkloadDelta};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Sends one request and returns `(status line, headers, body)`. The
 /// body has chunked framing stripped when the response streams.
@@ -68,45 +68,75 @@ fn write_keepalive_request(stream: &mut TcpStream, method: &str, path: &str, bod
     stream.write_all(request.as_bytes()).expect("send request");
 }
 
-/// Reads exactly one `Content-Length`-framed response off a persistent
-/// connection, returning `(status, head, body)` without waiting for EOF.
+/// Reads exactly one response off a persistent connection, returning
+/// `(status, head, body)` without waiting for EOF. The body is framed by
+/// `Content-Length`, or de-chunked when the response streams.
 fn read_one_response(stream: &mut TcpStream) -> (u16, String, String) {
     stream
         .set_read_timeout(Some(Duration::from_secs(600)))
         .expect("timeout");
     let mut raw = Vec::new();
+    let fill = |stream: &mut TcpStream, raw: &mut Vec<u8>| {
+        let mut chunk = [0u8; 4096];
+        let n = stream.read(&mut chunk).expect("read response");
+        assert!(n > 0, "EOF before the response ended");
+        raw.extend_from_slice(&chunk[..n]);
+    };
     let head_end = loop {
         if let Some(pos) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
             break pos;
         }
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).expect("read head");
-        assert!(n > 0, "EOF before response head");
-        raw.extend_from_slice(&chunk[..n]);
+        fill(stream, &mut raw);
     };
     let head = String::from_utf8(raw[..head_end].to_vec()).expect("UTF-8 head");
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            l.to_ascii_lowercase()
-                .strip_prefix("content-length:")
-                .map(|v| v.trim().parse().expect("length"))
-        })
-        .expect("Content-Length header");
-    let mut body = raw[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        let mut chunk = [0u8; 4096];
-        let n = stream.read(&mut chunk).expect("read body");
-        assert!(n > 0, "EOF before body end");
-        body.extend_from_slice(&chunk[..n]);
-    }
     let status: u16 = head
         .split(' ')
         .nth(1)
         .expect("status code")
         .parse()
         .expect("numeric status");
-    let body = String::from_utf8(body[..content_length].to_vec()).expect("UTF-8 body");
+    let mut pos = head_end + 4;
+    let body = if head
+        .to_ascii_lowercase()
+        .contains("transfer-encoding: chunked")
+    {
+        let mut body = Vec::new();
+        loop {
+            let line_end = loop {
+                if let Some(at) = raw[pos..].windows(2).position(|w| w == b"\r\n") {
+                    break pos + at;
+                }
+                fill(stream, &mut raw);
+            };
+            let size = std::str::from_utf8(&raw[pos..line_end])
+                .ok()
+                .and_then(|hex| usize::from_str_radix(hex, 16).ok())
+                .expect("chunk size line");
+            pos = line_end + 2;
+            while raw.len() < pos + size + 2 {
+                fill(stream, &mut raw);
+            }
+            body.extend_from_slice(&raw[pos..pos + size]);
+            pos += size + 2;
+            if size == 0 {
+                break body;
+            }
+        }
+    } else {
+        let content_length: usize = head
+            .lines()
+            .find_map(|l| {
+                l.to_ascii_lowercase()
+                    .strip_prefix("content-length:")
+                    .map(|v| v.trim().parse().expect("length"))
+            })
+            .expect("Content-Length header");
+        while raw.len() < pos + content_length {
+            fill(stream, &mut raw);
+        }
+        raw[pos..pos + content_length].to_vec()
+    };
+    let body = String::from_utf8(body).expect("UTF-8 body");
     (status, head, body)
 }
 
@@ -796,6 +826,255 @@ fn deeply_nested_json_is_rejected_and_the_gateway_survives() {
 
     let (status, body) = http_get(addr, "/stats");
     assert_eq!(status, 200, "body: {body}");
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// The `/stats` counters of one artifact cache: `(hits, misses, waits)`.
+fn cache_counters(stats: &Value, cache: &str) -> (u64, u64, u64) {
+    let section = stats
+        .get(cache)
+        .unwrap_or_else(|| panic!("`{cache}` stats"));
+    let counter = |name| outcome_field(section, name).as_u64().expect("counter");
+    (
+        counter("hits"),
+        counter("misses"),
+        counter("inflight_waits"),
+    )
+}
+
+/// The address the gateway issues for `{"suite":"mat2","seed":42,"threshold":0.15}`.
+const PINNED_MAT2_ADDRESS: &str = "a199f0f4578c9f39";
+
+fn stats_of(addr: SocketAddr) -> Value {
+    let (status, stats) = http_get(addr, "/stats");
+    assert_eq!(status, 200);
+    json::parse(stats.trim()).expect("stats JSON")
+}
+
+/// Warm keep-alive requests are not held back by Nagle's algorithm
+/// waiting on the client's delayed ACK, a floor of about 40 ms per
+/// request: every response leaves in one write on a `TCP_NODELAY`
+/// socket, so a warm hit costs its compute and a loopback round trip.
+/// The heuristic QSort design keeps that compute near a millisecond even
+/// in an unoptimised build, far below the 20 ms bound.
+#[test]
+fn keep_alive_warm_hits_answer_without_the_delayed_ack_stall() {
+    let gateway = spawn_gateway(2, 8);
+    let addr = gateway.addr();
+    let body = r#"{"suite":"qsort","seed":7,"solver":"heuristic"}"#;
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+    write_keepalive_request(&mut stream, "POST", "/synthesize", body);
+    let (status, _, cold) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "body: {cold}");
+
+    let mut round_trips = Vec::new();
+    for _ in 0..30 {
+        let start = Instant::now();
+        write_keepalive_request(&mut stream, "POST", "/synthesize", body);
+        let (status, _, warm) = read_one_response(&mut stream);
+        round_trips.push(start.elapsed());
+        assert_eq!(status, 200, "body: {warm}");
+        assert_eq!(warm, cold, "a warm hit answers the cold body byte for byte");
+    }
+    round_trips.sort_unstable();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median warm round trip {median:?} (all: {round_trips:?}) — \
+         responses are waiting on delayed ACKs again"
+    );
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A chunked sweep leaves a keep-alive connection ready for the next
+/// request: both the stream and the `/stats` after it arrive whole.
+#[test]
+fn sweep_then_stats_share_one_keep_alive_connection() {
+    let gateway = spawn_gateway(2, 8);
+    let addr = gateway.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("TCP_NODELAY");
+
+    write_keepalive_request(
+        &mut stream,
+        "POST",
+        "/sweep",
+        r#"{"suite":"mat2","seed":42,"thresholds":[0.1,0.15,0.2]}"#,
+    );
+    let (status, head, body) = read_one_response(&mut stream);
+    assert_eq!(status, 200, "body: {body}");
+    assert!(
+        head.to_ascii_lowercase().contains("connection: keep-alive"),
+        "head: {head}"
+    );
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), 3, "one line per threshold: {body}");
+    for line in lines {
+        let point = json::parse(line).expect("sweep line");
+        assert!(point.get("it").is_some() && point.get("ti").is_some());
+    }
+
+    write_keepalive_request(&mut stream, "GET", "/stats", "");
+    let (status, _, stats) = read_one_response(&mut stream);
+    assert_eq!(status, 200);
+    let stats = json::parse(stats.trim()).expect("stats JSON");
+    assert_eq!(
+        stats
+            .get("requests")
+            .and_then(|r| r.get("served"))
+            .and_then(Value::as_u64),
+        Some(1)
+    );
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// The collect cache is keyed by the request's workload spec: asking
+/// for the same spec again is one more collect hit and the same bytes;
+/// the same generator at another seed is another entry, never a
+/// collision.
+#[test]
+fn collect_cache_is_keyed_by_the_workload_spec() {
+    let gateway = spawn_gateway(2, 8);
+    let addr = gateway.addr();
+    let request = |seed: u64| {
+        let (status, body) = http_post(
+            addr,
+            "/synthesize",
+            &format!("{{\"suite\":\"mat2\",\"seed\":{seed},\"threshold\":0.15}}"),
+            None,
+        );
+        assert_eq!(status, 200, "body: {body}");
+        body
+    };
+
+    let first = request(42);
+    let (hits, misses, _) = cache_counters(&stats_of(addr), "collect_cache");
+    assert_eq!((hits, misses), (0, 1));
+    let again = request(42);
+    assert_eq!(again, first, "the same spec answers the same bytes");
+    assert_eq!(
+        cache_counters(&stats_of(addr), "collect_cache"),
+        (hits + 1, misses, 0),
+        "the repeat is exactly one more collect hit"
+    );
+
+    let other = request(43);
+    assert_eq!(
+        cache_counters(&stats_of(addr), "collect_cache"),
+        (hits + 1, misses + 1, 0),
+        "another seed is another entry"
+    );
+    let artifact = |body: &str| {
+        json::parse(body.trim())
+            .expect("JSON response")
+            .get("artifact")
+            .and_then(Value::as_str)
+            .expect("artifact address")
+            .to_string()
+    };
+    assert_ne!(artifact(&first), artifact(&other));
+
+    // The seed-43 body is the direct pipeline's design of seed 43, not a
+    // cached seed-42 design under another name.
+    let app = workloads::matrix::mat2(43);
+    let params = DesignParams::default().with_overlap_threshold(0.15);
+    let collected = Pipeline::collect(&app, &params);
+    let analyzed = collected.analyze(&params);
+    let direct = analyzed
+        .synthesize(&*SolverKind::Exact.synthesizer(None))
+        .expect("direct synthesis");
+    let wire = json::parse(other.trim()).expect("JSON response");
+    assert_outcome_matches(outcome_field(&wire, "it"), &direct.it);
+    assert_outcome_matches(outcome_field(&wire, "ti"), &direct.ti);
+
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// Artifact addresses are a pure function of the request: the address
+/// of this request is pinned, so a change to how the gateway derives it
+/// (which would orphan every address a client or journal holds) fails
+/// here first.
+#[test]
+fn artifact_addresses_are_stable() {
+    let gateway = spawn_gateway(1, 4);
+    let (status, body) = http_post(
+        gateway.addr(),
+        "/synthesize",
+        r#"{"suite":"mat2","seed":42,"threshold":0.15}"#,
+        None,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let wire = json::parse(body.trim()).expect("JSON response");
+    assert_eq!(
+        wire.get("artifact").and_then(Value::as_str),
+        Some(PINNED_MAT2_ADDRESS)
+    );
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// `/stats` lookup accounting adds up after a mixed run of hits,
+/// misses, deltas and a sweep: every lookup of every listed cache is
+/// exactly one hit, miss or in-flight wait.
+#[test]
+fn stats_lookup_accounting_adds_up_after_a_mixed_run() {
+    let gateway = spawn_gateway(2, 8);
+    let addr = gateway.addr();
+    let synthesize = |body: &str| {
+        let (status, body) = http_post(addr, "/synthesize", body, None);
+        assert_eq!(status, 200, "body: {body}");
+        json::parse(body.trim())
+            .expect("JSON response")
+            .get("artifact")
+            .and_then(Value::as_str)
+            .expect("artifact address")
+            .to_string()
+    };
+
+    let base = synthesize(r#"{"suite":"mat2","seed":42,"threshold":0.15}"#); // miss
+    synthesize(r#"{"suite":"mat2","seed":42,"threshold":0.15}"#); // hit
+    synthesize(r#"{"suite":"qsort","seed":7}"#); // miss
+    let chained = synthesize(&format!(
+        "{{\"artifact\":\"{base}\",\"delta\":{{\"threshold\":0.2}}}}"
+    ));
+    synthesize(&format!(
+        "{{\"artifact\":\"{chained}\",\"delta\":{{\"threshold\":0.25}}}}"
+    ));
+    let (status, _) = http_post(
+        addr,
+        "/synthesize",
+        r#"{"artifact":"00000000deadbeef","delta":{"threshold":0.2}}"#,
+        None,
+    );
+    assert_eq!(status, 404);
+    let (status, body) = http_post(
+        addr,
+        "/sweep",
+        r#"{"suite":"mat2","seed":42,"threshold":0.15,"thresholds":[0.1,0.2]}"#,
+        None,
+    ); // hit
+    assert_eq!(status, 200, "body: {body}");
+
+    let stats = stats_of(addr);
+    // Front-half caches: one lookup per workload /synthesize and /sweep.
+    for cache in ["collect_cache", "analysis_cache"] {
+        let (hits, misses, waits) = cache_counters(&stats, cache);
+        assert_eq!((hits, misses, waits), (2, 2, 0), "{cache}: {stats:?}");
+    }
+    // Re-synthesis store: one lookup per delta request.
+    assert_eq!(cache_counters(&stats, "resynth_cache"), (2, 1, 0));
+    let requests = stats.get("requests").expect("request counters");
+    assert_eq!(requests.get("served").and_then(Value::as_u64), Some(6));
+    assert_eq!(requests.get("delta_reuse").and_then(Value::as_u64), Some(2));
+    assert_eq!(requests.get("delta_miss").and_then(Value::as_u64), Some(1));
 
     gateway.shutdown();
     gateway.join();
