@@ -23,8 +23,7 @@ fn bench_window_analysis(c: &mut Criterion) {
 
 /// The pre-refactor conflict construction, inlined as the benchmark
 /// baseline: an unconditional nested per-pair scan over every window's
-/// overlap. (`ConflictMatrix::from_stats_only` now delegates to the graph,
-/// so benching it would compare the new algorithm against itself.)
+/// overlap.
 fn pre_refactor_conflict_count(stats: &WindowStats, threshold: f64) -> usize {
     let n = stats.num_targets();
     let limits: Vec<u64> = (0..stats.num_windows())

@@ -35,14 +35,6 @@
 //!   host `parallel_s` can only tie `sequential_s` plus queue overhead;
 //!   without the pre-pass attribution that read as a scheduler
 //!   regression in the PR-3 snapshot).
-//! * **Learned search at the phase transition** — the CDCL-style nogood
-//!   learner ([`stbus_milp::binding::learned`], `--search learned`) at
-//!   the 48-target 14/15-bus transition: the 15-bus witness it certifies
-//!   exactly (the standard engine burns the whole probe budget there
-//!   with no answer), the infeasibility frontier it reaches, and the
-//!   honest outcome at the still-open 14-bus point. Guarded like the
-//!   pruning cliff: the run fails if the witness stops certifying or the
-//!   frontier regresses.
 //! * **Executor saturation** — a batch of **2** design points × 48-target
 //!   raced probes on the shared executor, recording the peak number of
 //!   simultaneously busy workers plus the time-weighted busy-worker
@@ -61,7 +53,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use stbus_core::pipeline::BaselineSet;
 use stbus_core::synthesizer::{Exact, Heuristic, Portfolio, Synthesizer};
 use stbus_core::{exec, Batch, DesignParams, Preprocessed, ProbeScheduler, SynthesisEngine};
-use stbus_milp::{HeuristicOptions, PruningLevel, SearchLevel, SolveLimits};
+use stbus_milp::{HeuristicOptions, PruningLevel, SolveLimits};
 use stbus_traffic::workloads::synthetic;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -371,71 +363,6 @@ fn bench_phase3(c: &mut Criterion) {
         );
     }
 
-    // --- Learned search at the 48-target phase transition. ---
-    // The honest scoreboard of what conflict learning buys at the size
-    // the exact engines stall on: the 15-bus witness becomes an *exact*
-    // certificate (previously only the repair heuristic reached it),
-    // the ≤13-bus infeasibility proofs collapse to a handful of nodes,
-    // and 14 buses stays open — recorded, not hidden. Asserts double as
-    // the tractability guard (the `learned_transition_stays_certified`
-    // release test mirrors them in CI).
-    let learned_targets = 48;
-    let pre48 = pre_of(learned_targets, &params);
-    let learned_budget = PROBE_BUDGET
-        .with_search(SearchLevel::Learned)
-        .with_learned_seed(0);
-    let (witness, witness_stats) = pre48
-        .binding_problem(15)
-        .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
-        .expect("learned 15-bus probe must stay within the probe budget");
-    let witness = witness.expect("learned search must certify the 15-bus witness at 48 targets");
-    assert!(
-        pre48.binding_problem(15).verify(&witness).is_some(),
-        "learned 15-bus witness must verify"
-    );
-    let witness_s = min_time(3, || {
-        pre48
-            .binding_problem(15)
-            .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
-            .expect("within budget")
-    });
-    // The standard engine under the identical budget: record the burn.
-    let burn_start = Instant::now();
-    let standard_15 = pre48.binding_problem(15).find_feasible(&PROBE_BUDGET);
-    let standard_burn_s = burn_start.elapsed().as_secs_f64();
-    let standard_15_outcome = match standard_15 {
-        Ok(Some(_)) => "feasible",
-        Ok(None) => "infeasible",
-        Err(_) => "budget",
-    };
-    // Learned infeasibility frontier plus the first undecided count.
-    let (learned_frontier, open_buses, open_outcome) = {
-        let lb = pre48.bus_lower_bound();
-        let mut proven = lb - 1;
-        let mut open = (lb, "budget");
-        for buses in lb..=learned_targets {
-            match pre48
-                .binding_problem(buses)
-                .find_feasible_stats_cancellable(&learned_budget, &exec::CancelToken::new())
-            {
-                Ok((None, _)) => proven = buses,
-                Ok((Some(_), _)) => {
-                    open = (buses, "feasible");
-                    break;
-                }
-                Err(_) => {
-                    open = (buses, "budget");
-                    break;
-                }
-            }
-        }
-        (proven, open.0, open.1)
-    };
-    assert!(
-        learned_frontier >= 13,
-        "learned infeasibility frontier regressed below 13 buses at 48 targets          (proved through {learned_frontier})"
-    );
-
     // --- JSON snapshot for the perf trajectory (workspace root). ---
     let mut sizes_json = String::new();
     for (i, p) in size_points.iter().enumerate() {
@@ -485,16 +412,7 @@ fn bench_phase3(c: &mut Criterion) {
          \"probe_jobs\": {sat_probe_jobs}, \"peak_busy_workers\": {sat_peak_busy}, \
          \"busy_worker_integral_s\": {sat_busy_integral:.6}, \
          \"mean_busy_workers\": {sat_mean_busy:.3}, \
-         \"wall_s\": {sat_wall_s:.6}, \"warning\": {sat_warning}}},\n  \
-         \"learned_search\": {{\"targets\": {learned_targets}, \
-         \"probe_budget\": {frontier_budget}, \"seed\": 0, \
-         \"witness_15_buses\": {{\"nodes\": {w_nodes}, \"restarts\": {w_restarts}, \
-         \"nogoods_learned\": {w_learned}, \"nogood_hits\": {w_hits}, \
-         \"seconds\": {witness_s:.6}, \
-         \"standard_same_budget\": \"{standard_15_outcome}\", \
-         \"standard_budget_burn_s\": {standard_burn_s:.6}}}, \
-         \"proved_infeasible_through\": {learned_frontier}, \
-         \"open\": {{\"buses\": {open_buses}, \"outcome\": \"{open_outcome}\"}}}}\n}}\n",
+         \"wall_s\": {sat_wall_s:.6}, \"warning\": {sat_warning}}}\n}}\n",
         date = stbus_bench::today_utc(),
         points = THETA_SWEEP.len(),
         theta_speedup = rebuild_s / incremental_s,
@@ -503,10 +421,6 @@ fn bench_phase3(c: &mut Criterion) {
         sat_workers = exec::workers(),
         sat_probe_jobs = sat_jobs.get(),
         sat_mean_busy = sat_busy_integral / sat_wall_s,
-        w_nodes = witness_stats.nodes,
-        w_restarts = witness_stats.restarts,
-        w_learned = witness_stats.nogoods_learned,
-        w_hits = witness_stats.nogood_hits,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
     // The gateway-throughput, incremental-resynthesis, hotpath and

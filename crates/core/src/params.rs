@@ -158,24 +158,12 @@ impl DesignParams {
     /// Sets the per-node lower-bound pruning level of the exact binding
     /// search (builder style). [`stbus_milp::PruningLevel::Standard`]
     /// (the default) is bit-identical to `Off` whenever the unpruned
-    /// search completes within its node budget; `Aggressive` keeps
-    /// verdicts and probe logs but may return a different
-    /// (equal-objective) binding.
+    /// search completes within its node budget; `Off` is the unpruned
+    /// reference the equivalence suites and the `sizes` bench compare
+    /// against.
     #[must_use]
     pub fn with_pruning(mut self, pruning: stbus_milp::PruningLevel) -> Self {
         self.solve_limits.pruning = pruning;
-        self
-    }
-
-    /// Sets the search level of the exact binding search (builder
-    /// style). [`stbus_milp::SearchLevel::Standard`] (the default) is
-    /// the frozen-order DFS; `Learned` adds conflict-driven nogood
-    /// learning and a Luby restart portfolio — same verdicts whenever
-    /// both complete within budget, but the returned binding (and probe
-    /// logs) may differ.
-    #[must_use]
-    pub fn with_search(mut self, search: stbus_milp::SearchLevel) -> Self {
-        self.solve_limits.search = search;
         self
     }
 

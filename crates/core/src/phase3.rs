@@ -26,10 +26,8 @@
 //! (clique-cover + bandwidth-packing + forced-assignment propagation) —
 //! the changes that let phase 3 scale to SoCs several times larger than
 //! the paper suite: the full exact pipeline now completes at 32 targets,
-//! where the unpruned search blows its node budget. The
-//! `{pruning} × {search}` solver knobs live in one place,
-//! [`DesignParams::solve_limits`] ([`DesignParams::with_pruning`],
-//! [`DesignParams::with_search`]).
+//! where the unpruned search blows its node budget. The solver limits
+//! live in one place, [`DesignParams::solve_limits`].
 
 use crate::exec::{self, CancelToken};
 use crate::params::DesignParams;
@@ -80,8 +78,7 @@ pub struct SynthesisOutcome {
     /// The engine that produced this outcome.
     pub engine: SynthesisEngine,
     /// Search statistics accumulated over the *consumed* feasibility
-    /// probes (nodes always; restarts and nogood counters only under
-    /// [`stbus_milp::SearchLevel::Learned`]). Deterministic: the replay
+    /// probes. Deterministic: the replay
     /// consumes the same probes at any speculation width. Zero for
     /// heuristic outcomes.
     pub stats: SearchStats,
@@ -108,22 +105,10 @@ impl SynthesisOutcome {
             .map(|&(buses, feasible)| format!("[{buses},{feasible}]"))
             .collect::<Vec<_>>()
             .join(",");
-        // The learned-search counters are appended only when nonzero:
-        // standard-engine outputs (every committed fixture, the gateway
-        // byte-diff smoke, the seed replay journal) stay byte-identical
-        // to what they were before the counters existed.
-        let learned = if self.stats.nogoods_learned > 0 || self.stats.restarts > 0 {
-            format!(
-                ",\"nogoods_learned\":{},\"restarts\":{}",
-                self.stats.nogoods_learned, self.stats.restarts
-            )
-        } else {
-            String::new()
-        };
         format!(
             "{{\"solver\":\"{solver}\",\"engine\":\"{engine}\",\"num_buses\":{buses},\
              \"lower_bound\":{lb},\"max_bus_overlap\":{maxov},\
-             \"assignment\":[{assignment}],\"probes\":[{probes}]{learned}}}",
+             \"assignment\":[{assignment}],\"probes\":[{probes}]}}",
             engine = self.engine,
             buses = self.num_buses,
             lb = self.lower_bound,

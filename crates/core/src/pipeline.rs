@@ -22,15 +22,13 @@
 //! it, so an artifact can never silently be reused across parameters that
 //! would have produced different traffic.
 //!
-//! Solver knobs ride along in [`DesignParams`] untouched by the staging,
-//! and this is the only place they live: [`DesignParams::with_pruning`]
-//! selects the per-node lower-bound pruning level of the exact binding
-//! search ([`stbus_milp::PruningLevel`]) and [`DesignParams::with_search`]
-//! its search engine ([`stbus_milp::SearchLevel`]), which
+//! Solver limits ride along in [`DesignParams`] untouched by the staging,
+//! and this is the only place they live: [`DesignParams::solve_limits`]
+//! carries the node budget and the per-node pruning level of the exact
+//! binding search ([`stbus_milp::PruningLevel`]), which
 //! [`Analyzed::synthesize`] hands to whatever strategy is plugged in — the
 //! default `Standard` level is proven bit-identical to the unpruned
-//! search, so staged and batch routes stay equivalent at every level that
-//! claims identity.
+//! search, so staged and batch routes stay equivalent at either level.
 //!
 //! # Example
 //!
@@ -533,7 +531,9 @@ impl<'a> Analyzed<'a> {
     /// # Errors
     ///
     /// Any [`DeltaError`] from validating `delta` against the collected
-    /// request trace.
+    /// request trace, including [`DeltaError::AnalysisTooLarge`] when the
+    /// patched traffic's window analysis would exceed
+    /// [`stbus_traffic::MAX_ANALYSIS_CELLS`].
     pub fn reanalyze(&self, delta: &WorkloadDelta) -> Result<Analyzed<'a>, DeltaError> {
         if !delta.touches_traffic() {
             delta.validate(&self.collected.traffic().it_trace)?;
@@ -542,6 +542,11 @@ impl<'a> Analyzed<'a> {
         }
         let scale = f64::from_bits(self.collected.key().response_scale_bits);
         let (traffic, touched) = patch_traffic(self.collected.traffic(), delta, scale)?;
+        WindowStats::check_size(
+            &[&traffic.it_trace, &traffic.ti_trace],
+            self.params.window_size,
+        )
+        .map_err(DeltaError::AnalysisTooLarge)?;
         let params = match delta.threshold {
             Some(theta) => self.params.clone().with_overlap_threshold(theta),
             None => self.params.clone(),

@@ -24,6 +24,7 @@
 //! under its original classification — the invariant holds per call).
 
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -90,6 +91,25 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
     /// concurrent callers (see the module docs for the hit/miss/wait
     /// accounting contract).
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> Arc<V> {
+        match self.get_or_try_compute(key, || Ok::<V, Infallible>(compute())) {
+            Ok(value) => value,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`SingleFlightCache::get_or_compute`] for a computation that may
+    /// refuse. An `Err` is returned to the computing call and leaves no
+    /// entry: parked waiters wake and compute for themselves, as after a
+    /// panic. Every call is still classified exactly once.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `compute` returned, when this call ran it.
+    pub fn get_or_try_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
         let mut compute = Some(compute);
         // A call is classified exactly once; a waiter that later finds
         // the slot gone (computation panicked) recomputes without being
@@ -105,7 +125,7 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
                     if !classified_wait {
                         inner.hits += 1;
                     }
-                    return Arc::clone(value);
+                    return Ok(Arc::clone(value));
                 }
                 Some(Slot::InFlight) => {
                     if !classified_wait {
@@ -122,14 +142,15 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
                     drop(guard);
 
                     // Compute outside the lock; the drop guard clears the
-                    // slot and wakes waiters if `compute` unwinds, so a
-                    // waiter can take over instead of parking forever.
+                    // slot and wakes waiters if `compute` unwinds or
+                    // refuses, so a waiter can take over instead of
+                    // parking forever.
                     let mut cleanup = InFlightGuard {
                         cache: self,
                         key: &key,
                         armed: true,
                     };
-                    let value = Arc::new((compute.take().expect("compute runs once"))());
+                    let value = Arc::new((compute.take().expect("compute runs once"))()?);
                     cleanup.armed = false;
                     drop(cleanup);
 
@@ -147,7 +168,7 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
                     Self::evict_over_capacity(inner, self.capacity);
                     drop(guard);
                     self.ready.notify_all();
-                    return value;
+                    return Ok(value);
                 }
             }
         }
@@ -243,7 +264,7 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
 }
 
 /// Removes the in-flight slot and wakes waiters if the computation
-/// unwinds (disarmed on success).
+/// unwinds or refuses (disarmed on success).
 struct InFlightGuard<'a, K: Eq + Hash + Clone, V> {
     cache: &'a SingleFlightCache<K, V>,
     key: &'a K,
@@ -294,6 +315,23 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits + stats.misses + stats.inflight_waits, 8);
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn refused_computation_leaves_no_entry() {
+        let cache = SingleFlightCache::<u64, u64>::new(4);
+        assert_eq!(
+            cache.get_or_try_compute(3, || Err("too large")),
+            Err("too large")
+        );
+        assert_eq!(cache.stats().entries, 0);
+        // The next call computes afresh; both calls count as misses.
+        let value = cache
+            .get_or_try_compute(3, || Ok::<_, &str>(9))
+            .expect("computes");
+        assert_eq!(*value, 9);
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (2, 0, 1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | `POST /synthesize` | input spec + knobs | one design |
 //! | `POST /synthesize` | `"artifact"` + `"delta"` | warm re-design of a prior result |
 //! | `POST /sweep` | input spec + knobs + `"thresholds":[θ…]` | chunked stream, one line per θ |
-//! | `POST /suite` | `"solver"`, `"seed"`, `"pruning"`, `"jobs"` | the five paper rows |
+//! | `POST /suite` | `"solver"`, `"seed"`, `"jobs"` | the five paper rows |
 //! | `GET /stats` | — | queue, request, cache and per-tenant counters |
 //! | `POST /shutdown` | — | `{"shutting_down":true}`, then drains |
 //!
@@ -34,7 +34,9 @@
 //! to `stbus synthesize --trace … --json`), `"suite"` (a named
 //! generator) or `"scaled"` (a synthetic SoC size); see [`wire`] for
 //! every field and its validation. Suite rows are byte-identical to
-//! `stbus suite --json`. Errors: `400` malformed request, `404`/`405`
+//! `stbus suite --json`. The removed `"pruning"` and `"search"` solver
+//! knobs answer `400` on every route. Errors: `400` malformed request
+//! (including a phase-2 analysis too large to allocate), `404`/`405`
 //! unknown route, method or artifact, `429` + `Retry-After` when the
 //! ingress queue is full, `500` solver failure, `503` during shutdown.
 //!
@@ -71,15 +73,15 @@
 //! the named target's request events. `remove` silences targets,
 //! `add_targets` appends empty ones (populate them via `edits`),
 //! `delta.threshold` moves θ. The artifact pins everything else —
-//! workload, window plan, solver, pruning — so those knobs are rejected
+//! workload, window plan, solver — so those knobs are rejected
 //! alongside `"artifact"`; only `"jobs"` (result-invariant parallelism)
 //! may ride along. The gateway answers with the same response shape and
 //! a fresh chained `"artifact"`, so edits compose. Execution skips
 //! phases 1–2 (the stored analysis is patched in `O(touched × targets)`)
 //! and phase 3 is warm-started from the previous bindings: **verdicts,
 //! probe logs and bus counts are identical to a cold solve** — only the
-//! returned assignment may legitimately differ (same contract as
-//! `PruningLevel::Aggressive`). An unknown or evicted address answers
+//! returned assignment may legitimately differ (a different
+//! equal-objective leaf may be reached first). An unknown or evicted address answers
 //! `404`; re-request from scratch. `/stats` counts `delta_reuse` /
 //! `delta_miss` globally and per tenant.
 //!

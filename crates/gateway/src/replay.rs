@@ -124,7 +124,10 @@ impl ReplayEngine {
             return Ok(None);
         };
         let strategy = request.solver.synthesizer(self.jobs_for(request.jobs));
-        let front = self.front.front(spec, &request.params);
+        let front = self
+            .front
+            .front(spec, &request.params)
+            .map_err(|e| e.to_string())?;
         let solved = match front.solve(request, &*strategy, &self.token) {
             Ok(Some(solved)) => solved,
             Ok(None) => return Err("cancelled (replay token is never raised)".to_string()),
@@ -166,7 +169,10 @@ impl ReplayEngine {
         };
         let strategy = base.solver.synthesizer(self.jobs_for(base.jobs));
         let solver = base.solver.to_string();
-        let front = self.front.front(spec, &base.params);
+        let front = self
+            .front
+            .front(spec, &base.params)
+            .map_err(|e| e.to_string())?;
         let mut transcript = String::new();
         for &theta in &request.thresholds {
             let params = base.params.clone().with_overlap_threshold(theta);
@@ -198,8 +204,11 @@ impl ReplayEngine {
         let apps = stbus_traffic::workloads::paper_suite(request.seed);
         let mut rows = Vec::with_capacity(apps.len());
         for (spec, app) in specs.iter().zip(apps) {
-            let params = request.app_params(app.name());
-            let front = self.front.front_with(spec, &params, || Arc::new(app));
+            let params = stbus_core::paper_suite_params(app.name());
+            let front = self
+                .front
+                .front_with(spec, &params, || Arc::new(app))
+                .map_err(|e| e.to_string())?;
             let analyzed = front.analyze(&params);
             let designed = match analyzed.synthesize_cancellable(&*strategy, &self.token) {
                 Ok(Some(designed)) => designed,

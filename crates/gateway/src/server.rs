@@ -101,9 +101,9 @@ use stbus_core::{DesignParams, FlowError, Preprocessed, SolverKind, Synthesizer}
 use stbus_exec as exec;
 use stbus_exec::CancelToken;
 use stbus_journal::{FsyncPolicy, JournalWriter, Record, RecordKind, RecordStatus, WriterOptions};
-use stbus_milp::{Binding, NodeLimitExceeded, SearchLevel, WarmStart};
+use stbus_milp::{Binding, NodeLimitExceeded, WarmStart};
 use stbus_traffic::workloads::Application;
-use stbus_traffic::{DeltaError, WorkloadDelta};
+use stbus_traffic::{AnalysisTooLarge, DeltaError, WindowStats, WorkloadDelta};
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -946,6 +946,24 @@ fn reply_solver_error(shared: &Arc<Shared>, job: &Job, error: &dyn std::fmt::Dis
     });
 }
 
+/// Answers `400` for a request refused at execution time — an invalid
+/// delta, or a phase-2 window analysis too large to allocate — and
+/// journals it as an error.
+fn reply_bad_request(shared: &Arc<Shared>, job: &Job, message: &str) {
+    shared.journal_event(
+        record_kind(&job.work),
+        RecordStatus::Error,
+        &job.tenant,
+        &job.spec,
+        message,
+    );
+    let _ = job.reply.send(Reply::Done {
+        status: 400,
+        reason: "Bad Request",
+        body: format!("{{\"error\":\"{}\"}}\n", stbus_core::json_escape(message)),
+    });
+}
+
 /// One collect-cache entry: the application a workload spec builds,
 /// its content digest, and its phase-1 traffic under one
 /// [`CollectionKey`]. The entry is keyed by the spec, so a warm request
@@ -979,7 +997,16 @@ impl FrontCaches {
     /// The cached phase-1/phase-2 front half of a workload-mode request:
     /// look up (or build and collect) the application, then look up (or
     /// run) the window analysis.
-    pub(crate) fn front(&self, spec: &WorkloadSpec, params: &DesignParams) -> CachedAnalysis {
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisTooLarge`] when an analysis miss would allocate more
+    /// than the cap allows; warm hits never re-check.
+    pub(crate) fn front(
+        &self,
+        spec: &WorkloadSpec,
+        params: &DesignParams,
+    ) -> Result<CachedAnalysis, AnalysisTooLarge> {
         self.front_with(spec, params, || Arc::new(spec.build()))
     }
 
@@ -991,7 +1018,7 @@ impl FrontCaches {
         spec: &WorkloadSpec,
         params: &DesignParams,
         app: impl FnOnce() -> Arc<Application>,
-    ) -> CachedAnalysis {
+    ) -> Result<CachedAnalysis, AnalysisTooLarge> {
         let [generator, seed] = spec.fingerprint();
         let ck = CollectionKey::of(params).fingerprint();
         let entry = self
@@ -1016,16 +1043,20 @@ impl FrontCaches {
             ak[2],
             ak[3],
         ];
-        let artifact = self.analysis.get_or_compute(analysis_key, || {
-            Collected::from_cached(&entry.app, params, Arc::clone(&entry.traffic))
-                .analysis_artifact(params)
-        });
-        CachedAnalysis {
+        let artifact = self.analysis.get_or_try_compute(analysis_key, || {
+            let traffic = &entry.traffic;
+            WindowStats::check_size(&[&traffic.it_trace, &traffic.ti_trace], params.window_size)?;
+            Ok(
+                Collected::from_cached(&entry.app, params, Arc::clone(traffic))
+                    .analysis_artifact(params),
+            )
+        })?;
+        Ok(CachedAnalysis {
             app: Arc::clone(&entry.app),
             digest: entry.digest,
             traffic: Arc::clone(&entry.traffic),
             artifact,
-        }
+        })
     }
 }
 
@@ -1217,11 +1248,7 @@ fn fnv1a(words: &[u64], tags: &[u8]) -> u64 {
 /// Content address of a fresh workload-mode artifact for `request`:
 /// the application `digest` ([`Application::content_digest`]), both
 /// phase fingerprints, and the solve-relevant knobs (θ, `maxtb`,
-/// solver, pruning, search). `jobs` is excluded — it is
-/// result-invariant. A `learned` search folds an extra tag into the
-/// address (its binding may legitimately differ from the standard
-/// engine's); `standard`/unset requests keep the historical address
-/// bytes, so journals written before the knob existed still restore.
+/// solver). `jobs` is excluded — it is result-invariant.
 fn artifact_address(digest: u64, request: &SynthesizeRequest) -> String {
     let params = &request.params;
     let ck = CollectionKey::of(params).fingerprint();
@@ -1238,10 +1265,10 @@ fn artifact_address(digest: u64, request: &SynthesizeRequest) -> String {
         params.overlap_threshold.to_bits(),
         params.maxtb as u64,
     ];
-    let mut tags = format!("{}|{:?}", request.solver, request.pruning);
-    if request.search == Some(SearchLevel::Learned) {
-        tags.push_str("|learned");
-    }
+    // `{solver}|None` are the historical address bytes: addresses once
+    // also folded an optional pruning level, unset on every request that
+    // can still be sent, so journals and fixtures keep their addresses.
+    let tags = format!("{}|None", request.solver);
     format!("{:016x}", fnv1a(&words, tags.as_bytes()))
 }
 
@@ -1310,6 +1337,10 @@ fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &J
             // Byte-identical to `stbus synthesize --trace … --json` —
             // no artifact field either (trace mode has no application
             // identity to address).
+            if let Err(e) = WindowStats::check_size(&[trace], request.params.window_size) {
+                reply_bad_request(shared, job, &e.to_string());
+                return;
+            }
             let pre = Preprocessed::analyze(trace, &request.params);
             match strategy.synthesize_cancellable(&pre, &request.params, &job.token) {
                 Ok(Some(outcome)) => {
@@ -1320,7 +1351,13 @@ fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &J
             }
         }
         WorkSpec::Workload(spec) => {
-            let front = shared.front.front(spec, &request.params);
+            let front = match shared.front.front(spec, &request.params) {
+                Ok(front) => front,
+                Err(e) => {
+                    reply_bad_request(shared, job, &e.to_string());
+                    return;
+                }
+            };
             match front.solve(request, &*strategy, &job.token) {
                 Ok(Some(solved)) => solved.deposit_and_reply(shared, job),
                 Ok(None) => reply_cancelled(shared, job),
@@ -1369,7 +1406,9 @@ fn restore_synthesize(shared: &Arc<Shared>, record: &Record) -> bool {
     let Some((warm_it, warm_ti)) = bindings_from_outcome(&record.outcome) else {
         return false;
     };
-    let front = shared.front.front(spec, &request.params);
+    let Ok(front) = shared.front.front(spec, &request.params) else {
+        return false;
+    };
     shared.resynth_cache.insert(
         artifact_address(front.digest, &request),
         Arc::new(front.deposit(&request, warm_it, warm_ti)),
@@ -1473,21 +1512,7 @@ fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
     let re = match stored.reanalyze(&request.delta) {
         Ok(re) => re,
         Err(e) => {
-            shared.journal_event(
-                RecordKind::Delta,
-                RecordStatus::Error,
-                &job.tenant,
-                &job.spec,
-                &format!("delta: {e}"),
-            );
-            let _ = job.reply.send(Reply::Done {
-                status: 400,
-                reason: "Bad Request",
-                body: format!(
-                    "{{\"error\":\"delta: {}\"}}\n",
-                    stbus_core::json_escape(&e.to_string())
-                ),
-            });
+            reply_bad_request(shared, job, &format!("delta: {e}"));
             return;
         }
     };
@@ -1515,6 +1540,13 @@ fn reply_outcome_line(shared: &Arc<Shared>, job: &Job, line: &str) {
     });
 }
 
+/// A sweep's phase-2 state: the one-direction analysis of a trace-mode
+/// request, or the cached front half of a workload-mode one.
+enum SweepFront {
+    Trace(Box<Preprocessed>),
+    Workload(CachedAnalysis),
+}
+
 fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
     let WorkRequest::Sweep(request) = &job.work else {
         unreachable!("routed as sweep")
@@ -1538,6 +1570,24 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
     // sequential loop (which `jobs == 1` still is, exactly). A cancelled
     // or budget-abandoned point ends the stream; the look-ahead points
     // behind it observe the same token and wind down unconsumed.
+    //
+    // Phase 2 runs before the stream starts, so an analysis too large to
+    // allocate is still a plain `400`.
+    let front = match &base.work {
+        WorkSpec::Trace(trace) => WindowStats::check_size(&[trace], base.params.window_size)
+            .map(|()| SweepFront::Trace(Box::new(Preprocessed::analyze(trace, &base.params)))),
+        WorkSpec::Workload(spec) => shared
+            .front
+            .front(spec, &base.params)
+            .map(SweepFront::Workload),
+    };
+    let front = match front {
+        Ok(front) => front,
+        Err(e) => {
+            reply_bad_request(shared, job, &e.to_string());
+            return;
+        }
+    };
     let _ = job.reply.send(Reply::StreamStart);
     let mut completed = true;
     // The journal's outcome for a completed sweep is the exact stream
@@ -1568,9 +1618,8 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
                 None => *completed = false,
             }
         };
-        match &base.work {
-            WorkSpec::Trace(trace) => {
-                let pre = Preprocessed::analyze(trace, &base.params);
+        match &front {
+            SweepFront::Trace(pre) => {
                 exec::map_streaming(
                     &request.thresholds,
                     width,
@@ -1591,8 +1640,7 @@ fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
                     |i, point| emit(request.thresholds[i], point),
                 );
             }
-            WorkSpec::Workload(spec) => {
-                let front = shared.front.front(spec, &base.params);
+            SweepFront::Workload(front) => {
                 exec::map_streaming(
                     &request.thresholds,
                     width,
@@ -1658,8 +1706,14 @@ fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
         }
         // Per-application parameters pinned to the paper's, exactly as
         // in `stbus suite` — the rows must diff clean against the CLI.
-        let params = request.app_params(app.name());
-        let front = shared.front.front_with(spec, &params, || Arc::new(app));
+        let params = stbus_core::paper_suite_params(app.name());
+        let front = match shared.front.front_with(spec, &params, || Arc::new(app)) {
+            Ok(front) => front,
+            Err(e) => {
+                reply_bad_request(shared, job, &e.to_string());
+                return;
+            }
+        };
         let analyzed = front.analyze(&params);
         let designed = match analyzed.synthesize_cancellable(&*strategy, &job.token) {
             Ok(Some(designed)) => designed,

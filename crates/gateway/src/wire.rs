@@ -17,13 +17,15 @@
 //!
 //! Common knobs mirror the CLI flags one-for-one: `"window"` (u64 ≥ 1),
 //! `"threshold"` (finite, ≥ 0), `"maxtb"` (≥ 1), `"response_scale"`
-//! (finite, > 0), `"solver"` (`exact|heuristic|portfolio`), `"pruning"`
-//! (`off|standard|aggressive`), `"search"` (`standard|learned`),
-//! `"jobs"` (≥ 1). `/sweep` adds `"thresholds"`: a non-empty array of
-//! valid thresholds, streamed one result line each. `/suite` takes only
-//! `"solver"`, `"pruning"`, `"search"`, `"jobs"` and `"seed"` — the
-//! per-application parameters are pinned to the paper's, exactly as in
-//! `stbus suite`.
+//! (finite, > 0), `"solver"` (`exact|heuristic|portfolio`) and `"jobs"`
+//! (≥ 1). `/sweep` adds `"thresholds"`: a non-empty array of valid
+//! thresholds, streamed one result line each. `/suite` takes only
+//! `"solver"`, `"jobs"` and `"seed"` — the per-application parameters
+//! are pinned to the paper's, exactly as in `stbus suite`.
+//!
+//! Phase 3 runs one exact search, so the removed `"pruning"` and
+//! `"search"` knobs are answered `400` on every route rather than
+//! silently ignored.
 //!
 //! Validation happens here, before a request is admitted: anything
 //! malformed is answered `400` with an error message instead of ever
@@ -32,7 +34,6 @@
 
 use crate::json::{self, Value};
 use stbus_core::{DesignParams, SolverKind};
-use stbus_milp::{PruningLevel, SearchLevel};
 use stbus_traffic::workloads::{self, Application};
 use stbus_traffic::{
     io as trace_io, InitiatorId, TargetEdit, TargetId, Trace, TraceEvent, WorkloadDelta,
@@ -119,20 +120,12 @@ impl WorkloadSpec {
 pub struct SynthesizeRequest {
     /// What to design from.
     pub work: WorkSpec,
-    /// Full design parameters (knobs merged over the defaults, the
-    /// `"pruning"`/`"search"` knobs into [`DesignParams::solve_limits`]).
+    /// Full design parameters (knobs merged over the defaults).
     pub params: DesignParams,
     /// Synthesis strategy.
     pub solver: SolverKind,
     /// Probe parallelism (`None` = executor width, as in the CLI).
     pub jobs: Option<NonZeroUsize>,
-    /// The `"pruning"` knob as sent (already applied to `params`); it
-    /// also tags the artifact's content address.
-    pub pruning: Option<PruningLevel>,
-    /// The `"search"` knob as sent (already applied to `params`;
-    /// `learned` = CDCL-style nogood learning with the restart
-    /// portfolio); it also tags the artifact's content address.
-    pub search: Option<SearchLevel>,
 }
 
 /// A validated `/sweep` request: the base request plus the θ grid.
@@ -153,30 +146,13 @@ pub struct SuiteRequest {
     pub seed: u64,
     /// Probe parallelism.
     pub jobs: Option<NonZeroUsize>,
-    /// Pruning level override.
-    pub pruning: Option<PruningLevel>,
-    /// Search level override.
-    pub search: Option<SearchLevel>,
-}
-
-impl SuiteRequest {
-    /// The paper's pinned parameters for one suite application, with this
-    /// request's solver knobs applied — exactly what `stbus suite` runs.
-    #[must_use]
-    pub(crate) fn app_params(&self, app_name: &str) -> DesignParams {
-        with_knobs(
-            stbus_core::paper_suite_params(app_name),
-            self.pruning,
-            self.search,
-        )
-    }
 }
 
 /// A validated incremental re-synthesis request: a prior artifact's
 /// content address plus the workload delta to apply to it.
 ///
-/// The referenced artifact pins the application, parameters, solver and
-/// pruning level of the base request; a delta request may override only
+/// The referenced artifact pins the application, parameters and solver
+/// of the base request; a delta request may override only
 /// `"jobs"` (execution-side, result-invariant). Everything the delta
 /// changes — trace edits, added/removed targets, a new θ — travels in
 /// the `"delta"` object (see [`parse_delta_spec`] for the wire shape).
@@ -279,24 +255,23 @@ fn parse_work(obj: &Value) -> Result<WorkSpec, String> {
     }))
 }
 
-/// `params` with the solver knobs, where sent, applied to
-/// [`DesignParams::solve_limits`] — the one place a wire `"pruning"` or
-/// `"search"` reaches the solver.
-fn with_knobs(
-    mut params: DesignParams,
-    pruning: Option<PruningLevel>,
-    search: Option<SearchLevel>,
-) -> DesignParams {
-    if let Some(level) = pruning {
-        params = params.with_pruning(level);
+/// Solver knobs the wire once accepted. Phase 3 now runs one exact
+/// search, so a request naming one is refused instead of being served by
+/// a different engine than it asked for.
+const REMOVED_KNOBS: [&str; 2] = ["pruning", "search"];
+
+fn reject_removed_knobs(obj: &Value) -> Result<(), String> {
+    match REMOVED_KNOBS.iter().find(|&&knob| obj.get(knob).is_some()) {
+        Some(knob) => Err(format!(
+            "`{knob}` was removed: phase 3 runs one exact search, and only \
+             `solver` and `jobs` choose how it runs"
+        )),
+        None => Ok(()),
     }
-    if let Some(level) = search {
-        params = params.with_search(level);
-    }
-    params
 }
 
 fn parse_params(obj: &Value) -> Result<DesignParams, String> {
+    reject_removed_knobs(obj)?;
     let mut params = DesignParams::default();
     if let Some(window) = field_u64(obj, "window", 1)? {
         params = params.with_window_size(window);
@@ -314,7 +289,7 @@ fn parse_params(obj: &Value) -> Result<DesignParams, String> {
         }
         params = params.with_response_scale(scale);
     }
-    Ok(with_knobs(params, parse_pruning(obj)?, parse_search(obj)?))
+    Ok(params)
 }
 
 fn parse_solver(obj: &Value) -> Result<SolverKind, String> {
@@ -324,28 +299,6 @@ fn parse_solver(obj: &Value) -> Result<SolverKind, String> {
             .as_str()
             .ok_or_else(|| "`solver` must be a string".to_string())?
             .parse(),
-    }
-}
-
-fn parse_pruning(obj: &Value) -> Result<Option<PruningLevel>, String> {
-    match obj.get("pruning") {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| "`pruning` must be a string".to_string())?
-            .parse()
-            .map(Some),
-    }
-}
-
-fn parse_search(obj: &Value) -> Result<Option<SearchLevel>, String> {
-    match obj.get("search") {
-        None | Some(Value::Null) => Ok(None),
-        Some(v) => v
-            .as_str()
-            .ok_or_else(|| "`search` must be a string".to_string())?
-            .parse()
-            .map(Some),
     }
 }
 
@@ -512,8 +465,6 @@ pub fn parse_synthesize(body: &str) -> Result<SynthesizeRequest, String> {
         params: parse_params(&obj)?,
         solver: parse_solver(&obj)?,
         jobs: parse_jobs(&obj)?,
-        pruning: parse_pruning(&obj)?,
-        search: parse_search(&obj)?,
     })
 }
 
@@ -560,8 +511,6 @@ pub fn parse_sweep(body: &str) -> Result<SweepRequest, String> {
             params: parse_params(&obj)?,
             solver: parse_solver(&obj)?,
             jobs: parse_jobs(&obj)?,
-            pruning: parse_pruning(&obj)?,
-            search: parse_search(&obj)?,
         },
         thresholds,
     })
@@ -574,12 +523,11 @@ pub fn parse_sweep(body: &str) -> Result<SweepRequest, String> {
 /// A client-facing message on any malformed field.
 pub fn parse_suite(body: &str) -> Result<SuiteRequest, String> {
     let obj = parse_object(body)?;
+    reject_removed_knobs(&obj)?;
     Ok(SuiteRequest {
         solver: parse_solver(&obj)?,
         seed: field_u64(&obj, "seed", 0)?.unwrap_or(DEFAULT_SEED),
         jobs: parse_jobs(&obj)?,
-        pruning: parse_pruning(&obj)?,
-        search: parse_search(&obj)?,
     })
 }
 
@@ -723,7 +671,7 @@ mod tests {
             r#"{"artifact":"00ff","threshold":0.2}"#,
             r#"{"artifact":"00ff","solver":"exact"}"#,
             r#"{"artifact":"00ff","pruning":"off"}"#,
-            r#"{"artifact":"00ff","search":"learned"}"#,
+            r#"{"artifact":"00ff","search":"standard"}"#,
             r#"{"artifact":"00ff","seed":7}"#,
             r#"{"artifact":""}"#,
             r#"{"artifact":"not hex!"}"#,
@@ -740,20 +688,19 @@ mod tests {
     }
 
     #[test]
-    fn search_knob_parses_and_rejects_unknown_levels() {
-        let req = parse_synthesize(r#"{"suite":"mat2","search":"learned"}"#).unwrap();
-        assert_eq!(req.search, Some(stbus_milp::SearchLevel::Learned));
-        // The knob reaches the solver through the params.
-        assert_eq!(
-            req.params.solve_limits.search,
-            stbus_milp::SearchLevel::Learned
-        );
-        let req = parse_synthesize(r#"{"suite":"mat2"}"#).unwrap();
-        assert_eq!(req.search, None);
-        let suite = parse_suite(r#"{"search":"standard"}"#).unwrap();
-        assert_eq!(suite.search, Some(stbus_milp::SearchLevel::Standard));
-        assert!(parse_synthesize(r#"{"suite":"mat2","search":"cdcl"}"#).is_err());
-        assert!(parse_synthesize(r#"{"suite":"mat2","search":7}"#).is_err());
+    fn removed_solver_knobs_are_rejected_on_every_route() {
+        for knob in REMOVED_KNOBS {
+            for value in [r#""off""#, r#""standard""#, r#""max""#, "7", "null"] {
+                let synth = format!(r#"{{"suite":"mat2","{knob}":{value}}}"#);
+                let sweep = format!(r#"{{"suite":"mat2","thresholds":[0.1],"{knob}":{value}}}"#);
+                let suite = format!(r#"{{"{knob}":{value}}}"#);
+                let err = parse_synthesize(&synth).expect_err(&synth);
+                assert!(err.contains("was removed"), "{synth}: {err}");
+                assert!(parse_synthesize_route(&synth).is_err(), "{synth}");
+                assert!(parse_sweep(&sweep).is_err(), "{sweep}");
+                assert!(parse_suite(&suite).is_err(), "{suite}");
+            }
+        }
     }
 
     #[test]

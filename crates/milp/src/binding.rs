@@ -29,8 +29,6 @@
 
 use crate::bounds::{self, CombinedBound, LowerBound, NodeState, PruningLevel};
 use serde::{Deserialize, Serialize};
-
-pub mod learned;
 use stbus_exec::CancelToken;
 use stbus_traffic::{ConflictGraph, TargetSet};
 use std::error::Error;
@@ -69,66 +67,6 @@ impl WarmStart {
     }
 }
 
-/// Which search engine answers feasibility queries.
-///
-/// A sibling knob to [`PruningLevel`], with the *Aggressive* flavour of
-/// contract: every level proves the same feasibility verdicts whenever
-/// both searches complete within the node budget, but the returned
-/// bindings (and therefore probe logs downstream) may differ.
-///
-/// | Level      | Verdicts | Binding | Mechanism |
-/// |------------|----------|---------|-----------|
-/// | `Standard` | exact    | bit-identical to the frozen-order DFS | depth-first search in [`BindingProblem::branching_order`] |
-/// | `Learned`  | exact    | may differ (first feasible leaf of a perturbed value order) | conflict-driven nogood learning + Luby restarts (see [`crate::learned`]) |
-///
-/// `Learned` applies to *feasibility* searches
-/// ([`BindingProblem::find_feasible`] and friends — the MILP-1 probes
-/// that dominate hard instances). The MILP-2 optimisation pass
-/// ([`BindingProblem::optimize`]) always runs the standard improving
-/// search: learning targets refutation-heavy feasibility landscapes, and
-/// keeping optimisation on the standard path preserves its audited
-/// bit-identity guarantees.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SearchLevel {
-    /// The frozen-order DFS — the default, bit-identical reference.
-    #[default]
-    Standard,
-    /// Conflict-driven nogood learning with restart perturbation.
-    Learned,
-}
-
-impl SearchLevel {
-    /// Whether this level guarantees bit-identical bindings to the
-    /// reference search (not just identical verdicts).
-    #[must_use]
-    pub const fn claims_bit_identity(self) -> bool {
-        matches!(self, SearchLevel::Standard)
-    }
-}
-
-impl fmt::Display for SearchLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SearchLevel::Standard => write!(f, "standard"),
-            SearchLevel::Learned => write!(f, "learned"),
-        }
-    }
-}
-
-impl std::str::FromStr for SearchLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "standard" => Ok(SearchLevel::Standard),
-            "learned" => Ok(SearchLevel::Learned),
-            other => Err(format!(
-                "unknown search level `{other}` (expected standard|learned)"
-            )),
-        }
-    }
-}
-
 /// Search effort limits and pruning policy.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SolveLimits {
@@ -144,8 +82,9 @@ pub struct SolveLimits {
     /// (the default) is bit-identical to [`PruningLevel::Off`] whenever
     /// the unpruned search completes within `max_nodes`; under a starved
     /// budget the pruned search can only answer *more* often, never
-    /// differently. [`PruningLevel::Aggressive`] is opt-in: verdicts and
-    /// probe logs still match, but returned bindings may differ.
+    /// differently. Every caller runs `Standard`; `Off` is the unpruned
+    /// reference the admissibility battery and the `sizes` bench compare
+    /// against.
     pub pruning: PruningLevel,
     /// Optional previous solution for incremental re-solves. Two effects,
     /// both gated on [`BindingProblem::verify`] against the *current*
@@ -161,26 +100,16 @@ pub struct SolveLimits {
     ///   previous bus is tried first — a stable reorder of the same
     ///   candidate set.
     ///
-    /// The contract mirrors [`PruningLevel::Aggressive`]: feasibility
-    /// verdicts, probe logs and bus counts are unchanged whenever the
-    /// searches complete within `max_nodes` (the candidate *set* at every
-    /// node is identical and the search stays exhaustive), but the
-    /// *returned binding* may differ from the cold search's, because a
-    /// different feasible leaf may be reached first. Under a starved
-    /// budget a verified warm start can also answer where the cold search
-    /// would exhaust its budget — answering strictly more often, the same
-    /// one-sided deviation [`PruningLevel::Standard`] documents.
+    /// Feasibility verdicts, probe logs and bus counts are unchanged
+    /// whenever the searches complete within `max_nodes` (the candidate
+    /// *set* at every node is identical and the search stays exhaustive),
+    /// but the *returned binding* may differ from the cold search's,
+    /// because a different feasible leaf may be reached first. Under a
+    /// starved budget a verified warm start can also answer where the
+    /// cold search would exhaust its budget — answering strictly more
+    /// often, the same one-sided deviation [`PruningLevel::Standard`]
+    /// documents.
     pub warm_start: Option<WarmStart>,
-    /// Which engine answers feasibility queries (see [`SearchLevel`]).
-    /// Defaults to [`SearchLevel::Standard`]; absent from serialized
-    /// limits recorded before the knob existed.
-    #[serde(default)]
-    pub search: SearchLevel,
-    /// Seed for the learned search's restart value-order perturbation.
-    /// Ignored under [`SearchLevel::Standard`]. The default (0) is a
-    /// perfectly good seed — it is mixed through a finalizer before use.
-    #[serde(default)]
-    pub learned_seed: u64,
 }
 
 impl SolveLimits {
@@ -192,8 +121,6 @@ impl SolveLimits {
             max_nodes,
             pruning: PruningLevel::Standard,
             warm_start: None,
-            search: SearchLevel::Standard,
-            learned_seed: 0,
         }
     }
 
@@ -201,21 +128,6 @@ impl SolveLimits {
     #[must_use]
     pub const fn with_pruning(mut self, pruning: PruningLevel) -> Self {
         self.pruning = pruning;
-        self
-    }
-
-    /// Selects the feasibility search engine (builder style). See
-    /// [`SearchLevel`] for the verdict-equivalence contract.
-    #[must_use]
-    pub const fn with_search(mut self, search: SearchLevel) -> Self {
-        self.search = search;
-        self
-    }
-
-    /// Sets the learned search's restart seed (builder style).
-    #[must_use]
-    pub const fn with_learned_seed(mut self, seed: u64) -> Self {
-        self.learned_seed = seed;
         self
     }
 
@@ -312,24 +224,13 @@ const CANCEL_POLL_MASK: u64 = 0xFFF;
 
 /// Counters describing how a feasibility search earned its answer.
 ///
-/// The standard search fills only `nodes`; the learned search
-/// ([`SearchLevel::Learned`]) additionally reports its restart and
-/// nogood activity. All counters are deterministic functions of
-/// `(problem, limits)` — identical across runs and worker counts — so
-/// they are safe to record in outcomes, diff in tests, and snapshot in
-/// benches.
+/// A deterministic function of `(problem, limits)` — identical across
+/// runs and worker counts — so it is safe to record in outcomes, diff in
+/// tests, and snapshot in benches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Branch attempts charged against [`SolveLimits::max_nodes`]
-    /// (summed across restarts for the learned search).
+    /// Branch attempts charged against [`SolveLimits::max_nodes`].
     pub nodes: u64,
-    /// Completed restarts before the answer (0 for the standard search;
-    /// 0 for a learned search that finished within its first burst).
-    pub restarts: u64,
-    /// Nogood clauses learned and retained at any point.
-    pub nogoods_learned: u64,
-    /// Candidate placements vetoed by a watched nogood clause.
-    pub nogood_hits: u64,
 }
 
 impl SearchStats {
@@ -337,9 +238,6 @@ impl SearchStats {
     /// callers that sum stats over a sequence of probes).
     pub fn absorb(&mut self, other: SearchStats) {
         self.nodes += other.nodes;
-        self.restarts += other.restarts;
-        self.nogoods_learned += other.nogoods_learned;
-        self.nogood_hits += other.nogood_hits;
     }
 }
 
@@ -895,13 +793,10 @@ impl BindingProblem {
     /// The feasibility driver: finds any feasible binding and reports the
     /// search's [`SearchStats`], polling a cooperative [`CancelToken`].
     ///
-    /// This is the entry point that honours [`SolveLimits::search`]: under
-    /// [`SearchLevel::Learned`] the query is answered by the
-    /// conflict-driven learned search (restarts, nogoods) instead of the
-    /// frozen-order DFS. A verified [`SolveLimits::warm_start`]
-    /// short-circuits either engine with zeroed stats; an unverifiable one
-    /// demotes to a value-ordering hint. Verdicts are unchanged either way
-    /// (see [`SolveLimits::warm_start`] for the contract), but the returned
+    /// A verified [`SolveLimits::warm_start`] short-circuits the search
+    /// with zeroed stats; an unverifiable one demotes to a value-ordering
+    /// hint. Verdicts are unchanged either way (see
+    /// [`SolveLimits::warm_start`] for the contract), but the returned
     /// binding may differ from the cold search's.
     ///
     /// [`SearchStats::nodes`] counts candidate placements charged against
@@ -927,19 +822,8 @@ impl BindingProblem {
         if let Some(warm) = self.warm_verified(limits) {
             return Ok((Some(warm), SearchStats::default()));
         }
-        match limits.search {
-            SearchLevel::Standard => {
-                self.search_full(limits, None, cancel, false)
-                    .map(|(best, nodes)| {
-                        let stats = SearchStats {
-                            nodes,
-                            ..SearchStats::default()
-                        };
-                        (best, stats)
-                    })
-            }
-            SearchLevel::Learned => learned::find_feasible(self, limits, cancel),
-        }
+        self.search_full(limits, None, cancel, false)
+            .map(|(best, nodes)| (best, SearchStats { nodes }))
     }
 
     /// [`BindingProblem::find_feasible`] in **audited** mode: at every
@@ -1005,10 +889,7 @@ impl BindingProblem {
         cancel: &CancelToken,
     ) -> Result<Option<Binding>, SearchInterrupted> {
         // Seed the incumbent with any feasible solution so pruning bites
-        // immediately. The seeding search honours [`SolveLimits::search`]
-        // (the learned engine can reach a first witness the frozen order
-        // cannot); the improving search below is always the standard
-        // exhaustive one, so the final objective is engine-independent.
+        // immediately.
         let seed = self.find_feasible_stats_cancellable(limits, cancel)?.0;
         match seed {
             None => Ok(None),
@@ -1357,14 +1238,6 @@ impl BindingProblem {
             let candidates = &mut frame[..cand_len];
             if optimizing {
                 candidates.sort_by_key(|&(added, _)| added);
-            } else if pruning == PruningLevel::Aggressive {
-                // Best-fit ordering: try the tightest bus first (classic
-                // packing heuristic). A pure reordering of the same
-                // candidate set — verdicts are unchanged, but the first
-                // feasible leaf (and thus the returned binding) may
-                // differ, which is why this level does not claim
-                // bit-identity.
-                candidates.sort_by_key(|&(_, k)| (st.min_slack[k], k));
             }
             // Warm-start value ordering: the target's previous bus is
             // tried first. A *stable* partition of the same candidate set

@@ -41,8 +41,6 @@
 
 use crate::binding::BindingProblem;
 use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::str::FromStr;
 
 use stbus_traffic::TargetSet;
 
@@ -51,8 +49,7 @@ use stbus_traffic::TargetSet;
 /// windows the extra scans cost more than the subtrees they cut.
 pub(crate) const CRITICAL_WINDOWS: usize = 4;
 
-/// How aggressively the exact binding search prunes with per-node lower
-/// bounds.
+/// Whether the exact binding search prunes with per-node lower bounds.
 ///
 /// * [`PruningLevel::Off`] — the plain DFS (the pre-pruning behaviour).
 /// * [`PruningLevel::Standard`] — the default: [`CombinedBound`] is
@@ -64,22 +61,10 @@ pub(crate) const CRITICAL_WINDOWS: usize = 4;
 ///   every incumbent improvement in optimisation mode — is unchanged).
 ///   Under a starved budget the pruned search can only *answer more
 ///   often*; it never answers differently.
-/// * [`PruningLevel::Aggressive`] — opt-in: everything `Standard` does,
-///   plus best-fit candidate ordering in feasibility mode (tightest
-///   min-slack bus first). This changes which feasible leaf is found
-///   first, so feasibility **verdicts** and probe logs still match, but
-///   the returned binding — and, through the optimisation seed, the
-///   equal-objective incumbent `optimize` returns — may legitimately
-///   differ (the equal-objective-revisit gotcha first caught by the
-///   retired dense equivalence battery). Levels that claim bit-identity
-///   are `Off` and `Standard` only.
 ///
-/// Orthogonal to the pruning level, `SearchLevel` in
-/// [`crate::binding`] picks the search *engine* under these bounds — its
-/// `Learned` level carries the same Aggressive-flavoured contract
-/// (identical verdicts, bindings may differ), so the full knob matrix is
-/// `{Off, Standard, Aggressive} × {standard, learned}` and bit-identity
-/// is claimed only by `{Off, Standard} × standard`.
+/// Every caller runs `Standard`; `Off` survives only as the unpruned
+/// reference the admissibility battery and the `sizes` bench compare
+/// against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PruningLevel {
     /// No per-node bounds: the plain DFS.
@@ -87,43 +72,6 @@ pub enum PruningLevel {
     /// Admissible per-node bounds; bit-identical to `Off` within budget.
     #[default]
     Standard,
-    /// `Standard` plus best-fit ordering; verdict-identical, bindings may
-    /// differ.
-    Aggressive,
-}
-
-impl PruningLevel {
-    /// Whether this level guarantees bit-identical answers to the
-    /// unpruned search (within the node budget).
-    #[must_use]
-    pub fn claims_bit_identity(self) -> bool {
-        !matches!(self, PruningLevel::Aggressive)
-    }
-}
-
-impl fmt::Display for PruningLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PruningLevel::Off => write!(f, "off"),
-            PruningLevel::Standard => write!(f, "standard"),
-            PruningLevel::Aggressive => write!(f, "aggressive"),
-        }
-    }
-}
-
-impl FromStr for PruningLevel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "off" => Ok(PruningLevel::Off),
-            "standard" => Ok(PruningLevel::Standard),
-            "aggressive" => Ok(PruningLevel::Aggressive),
-            other => Err(format!(
-                "unknown pruning level `{other}` (expected off|standard|aggressive)"
-            )),
-        }
-    }
 }
 
 /// The partial search state a [`LowerBound`] reads: which targets remain
@@ -489,166 +437,6 @@ impl CliqueCoverBound {
             return buses + 1;
         }
         clique_len
-    }
-}
-
-/// Why a node was refuted, expressed as the set of **placements** the
-/// refutation rests on — the seed of a learned nogood clause (see
-/// [`crate::binding::learned`]).
-///
-/// Soundness contract: for [`Refutation::Assignments(set)`], *any*
-/// assignment (partial or complete) in which every target of `set` sits
-/// on its current bus admits no feasible completion — the certificate's
-/// rejections are all monotone in the member sets (a conflict, an
-/// overflow or a full bus stays one when more targets are placed), so
-/// the refutation transfers to every superset of the recorded
-/// placements, not just the node it was extracted at.
-/// [`Refutation::Global`] is a refutation resting on *no* placements:
-/// the instance is infeasible outright.
-#[derive(Debug)]
-pub(crate) enum Refutation {
-    /// Infeasible regardless of any assignment (e.g. a static
-    /// incompatibility clique larger than the bus count, or a dead
-    /// target whose every rejection is static).
-    Global,
-    /// The refutation rests on exactly the recorded targets' current
-    /// placements.
-    Assignments(TargetSet),
-}
-
-impl CliqueCoverBound {
-    /// Re-derives this bound's refutation of `ctx` — which must be a
-    /// state the bound refutes, i.e. `buses_needed(ctx) > num_buses` —
-    /// and names the *responsible placements*: the minimal-ish set of
-    /// bound targets whose bus memberships the certificate actually
-    /// used. Returns `None` when the clique bound does **not** refute
-    /// the state (the caller's refutation came from another certificate
-    /// and must fall back to the full prefix).
-    ///
-    /// Reason extraction per certificate:
-    ///
-    /// * **dead target** `v` — for every bus, the members that make it
-    ///   unusable for `v` ([`unusable_reason`]);
-    /// * **Hall violation** — for every clique member and every bus
-    ///   outside its usable set, the blocking members (usable sets can
-    ///   only shrink under more placements, so the union stays small);
-    /// * **clique larger than the bus count** — the incompatibility
-    ///   relation is static, so this refutes the instance globally.
-    ///
-    /// This re-runs the greedy pass (same deterministic order, same
-    /// clique) with bookkeeping the hot path never pays — it is only
-    /// called on refuted nodes, where the subtree is already cut.
-    pub(crate) fn explain(&mut self, ctx: &PruneContext<'_>) -> Option<Refutation> {
-        let problem = ctx.problem;
-        let buses = problem.num_buses();
-        if problem.num_targets() == 0 || ctx.unbound.is_empty() {
-            return None;
-        }
-        if self.built_for != Some(incompat_key(ctx)) {
-            self.build_incompat(ctx);
-        }
-        let words = ctx.unbound.words().len();
-        let mut cand = ctx.unbound.words().to_vec();
-        let mut union_words = vec![0u64; buses.div_ceil(64)];
-        let mut clique: Vec<usize> = Vec::new();
-        for &v in ctx.order {
-            if !ctx.unbound.contains(v) {
-                continue;
-            }
-            let in_clique = cand[v / 64] >> (v % 64) & 1 == 1;
-            let mut any = false;
-            for k in 0..buses {
-                if !ctx.usable(v, k) {
-                    continue;
-                }
-                any = true;
-                if !in_clique {
-                    break;
-                }
-                union_words[k / 64] |= 1u64 << (k % 64);
-            }
-            if !any {
-                let mut reason = TargetSet::empty(problem.num_targets());
-                for k in 0..buses {
-                    unusable_reason(ctx, v, k, &mut reason);
-                }
-                return Some(refutation_from(reason));
-            }
-            if in_clique {
-                clique.push(v);
-                let row = &self.incompat[v * words..(v + 1) * words];
-                for (c, &r) in cand.iter_mut().zip(row) {
-                    *c &= r;
-                }
-            }
-        }
-        if clique.len() > buses {
-            return Some(Refutation::Global);
-        }
-        let usable_union: usize = union_words.iter().map(|w| w.count_ones() as usize).sum();
-        if usable_union < clique.len() {
-            let mut reason = TargetSet::empty(problem.num_targets());
-            for &v in &clique {
-                for k in 0..buses {
-                    if !ctx.usable(v, k) {
-                        unusable_reason(ctx, v, k, &mut reason);
-                    }
-                }
-            }
-            return Some(refutation_from(reason));
-        }
-        None
-    }
-}
-
-/// Wraps an extracted reason set: an empty reason means the refutation
-/// held with no placements at all — a global infeasibility certificate.
-fn refutation_from(reason: TargetSet) -> Refutation {
-    if reason.is_empty() {
-        Refutation::Global
-    } else {
-        Refutation::Assignments(reason)
-    }
-}
-
-/// Records the bound targets responsible for `t` being unusable on bus
-/// `k` — the reason side of every [`Refutation`] certificate. Mirrors
-/// the certain rejections of [`usable_in`], attributed to members:
-///
-/// * a **conflict** with a member needs only that one member;
-/// * a full bus (`maxtb`), exhausted total slack, or a window overflow
-///   is implied by the bus's *entire* member set (their demands and
-///   seats reproduce the rejection in any superset state);
-/// * an **empty** bus rejecting `t` does so statically (the target's own
-///   demand against pristine capacity) — no placements to record.
-pub(crate) fn unusable_reason(ctx: &PruneContext<'_>, t: usize, k: usize, reason: &mut TargetSet) {
-    let problem = ctx.problem;
-    let words = ctx.mask_words;
-    let mask = &ctx.bus_masks[k * words..(k + 1) * words];
-    if ctx.bus_len[k] == 0 {
-        return;
-    }
-    if problem.conflict_graph().conflicts_with_words(t, mask) {
-        for (w, &wordv) in mask.iter().enumerate() {
-            let mut word = wordv;
-            while word != 0 {
-                let j = w * 64 + word.trailing_zeros() as usize;
-                if problem.conflicts(t, j) {
-                    reason.insert(j);
-                    return;
-                }
-                word &= word - 1;
-            }
-        }
-        unreachable!("conflicts_with_words certified a conflicting member");
-    }
-    for (w, &wordv) in mask.iter().enumerate() {
-        let mut word = wordv;
-        while word != 0 {
-            let j = w * 64 + word.trailing_zeros() as usize;
-            reason.insert(j);
-            word &= word - 1;
-        }
     }
 }
 
@@ -1167,15 +955,6 @@ impl LowerBound for CombinedBound {
 }
 
 impl CombinedBound {
-    /// Conflict-clause extraction for the learned search: delegates to
-    /// the clique/Hall explainer regardless of which certificate
-    /// refuted the node (the clique pass usually also refutes, and its
-    /// reasons are the minimal ones). `None` means no cheap explanation
-    /// — the caller falls back to the full-prefix reason.
-    pub(crate) fn explain(&mut self, ctx: &PruneContext<'_>) -> Option<Refutation> {
-        self.clique.explain(ctx)
-    }
-
     /// Forced-assignment propagation and shaving on a hypothetical copy
     /// of the node state, re-running both certificates on the maximally
     /// propagated result.
@@ -1855,22 +1634,6 @@ mod tests {
         let state = NodeState::root(&p);
         let (clique, bw, combined) = bound_all(&p, &state);
         assert_eq!((clique, bw, combined), (0, 0, 0));
-    }
-
-    #[test]
-    fn pruning_level_round_trips() {
-        for (text, level) in [
-            ("off", PruningLevel::Off),
-            ("standard", PruningLevel::Standard),
-            ("aggressive", PruningLevel::Aggressive),
-        ] {
-            assert_eq!(text.parse::<PruningLevel>().unwrap(), level);
-            assert_eq!(level.to_string(), text);
-        }
-        assert!("max".parse::<PruningLevel>().is_err());
-        assert_eq!(PruningLevel::default(), PruningLevel::Standard);
-        assert!(PruningLevel::Standard.claims_bit_identity());
-        assert!(!PruningLevel::Aggressive.claims_bit_identity());
     }
 
     #[test]

@@ -235,9 +235,7 @@ fn node_cut_for(
 ) -> Option<Arc<dyn NodeCut>> {
     match pruning {
         PruningLevel::Off => None,
-        // The generic path has no candidate ordering to vary, so
-        // `Aggressive` degenerates to `Standard` here.
-        PruningLevel::Standard | PruningLevel::Aggressive => Some(clique_cut(problem, encoded)),
+        PruningLevel::Standard => Some(clique_cut(problem, encoded)),
     }
 }
 

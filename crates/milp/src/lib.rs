@@ -62,8 +62,8 @@ pub mod model;
 pub mod simplex;
 
 pub use binding::{
-    Binding, BindingProblem, NodeLimitExceeded, SearchInterrupted, SearchLevel, SearchStats,
-    SolveLimits, WarmStart,
+    Binding, BindingProblem, NodeLimitExceeded, SearchInterrupted, SearchStats, SolveLimits,
+    WarmStart,
 };
 pub use bounds::{
     BandwidthPackingBound, CliqueCoverBound, CombinedBound, LowerBound, NodeState, PruneContext,

@@ -5,21 +5,19 @@
 //! every binding solver: "does target `t` conflict with any member of this
 //! bus?" is asked at every node of the exact search, every greedy
 //! placement, every local-search move and every randomized-baseline
-//! descent. [`ConflictMatrix`](crate::ConflictMatrix) answers it with an
-//! O(|group|) scan of a packed triangle; this module stores the same
-//! relation as per-target `u64` adjacency words so the group query becomes
-//! a handful of `AND`s: `row(t) ∩ members(k) ≠ ∅`.
+//! descent. This module stores the relation as per-target `u64`
+//! adjacency words so the group query is a handful of `AND`s:
+//! `row(t) ∩ members(k) ≠ ∅`.
 //!
 //! Two pieces:
 //!
 //! * [`TargetSet`] — a fixed-capacity bitset over target indices, the
 //!   "members of bus `k`" operand of the word-parallel test;
 //! * [`ConflictGraph`] — the adjacency bitset rows plus the conflict
-//!   construction from [`WindowStats`] (same semantics as
-//!   [`ConflictMatrix::from_stats_only`](crate::ConflictMatrix::from_stats_only):
-//!   a pair conflicts when its overlap exceeds the threshold in any window
-//!   or its critical streams clash) and the greedy-coloring lower bound
-//!   that replaces the plain greedy-clique bound for search pruning.
+//!   construction from [`WindowStats`] (a pair conflicts when its overlap
+//!   exceeds the threshold in any window or its critical streams clash)
+//!   and the greedy-coloring lower bound that replaces the plain
+//!   greedy-clique bound for search pruning.
 //!
 //! The per-window overlaps the construction reads are produced by the
 //! sweep-line pass in [`crate::window`], so conflict construction never
@@ -210,8 +208,10 @@ impl ConflictGraph {
     /// Builds the conflict graph from windowed statistics: a pair
     /// conflicts when its overlap exceeds `threshold` (as a fraction of
     /// each window's own length) in **any** window, or when both targets
-    /// carry critical streams that overlap in time. Identical semantics to
-    /// [`ConflictMatrix::from_stats_only`](crate::ConflictMatrix::from_stats_only).
+    /// carry critical streams that overlap in time (paper Eq. 2). The
+    /// paper notes (§7.4) that an overlap above 50 % of the window makes
+    /// the bandwidth constraint unsatisfiable for a shared bus anyway, so
+    /// thresholds are meaningful in `(0, 0.5]`.
     ///
     /// Only pairs with a non-zero aggregate overlap are examined — the
     /// sweep-line analysis already knows every pair that ever overlaps, so
@@ -266,7 +266,19 @@ impl ConflictGraph {
         &self.bits[t * self.words..(t + 1) * self.words]
     }
 
-    /// Marks the pair as conflicting.
+    /// Marks the pair as conflicting. The relation is symmetric, so either
+    /// argument order records the same single conflict.
+    ///
+    /// ```
+    /// use stbus_traffic::ConflictGraph;
+    ///
+    /// let mut g = ConflictGraph::none(3);
+    /// g.forbid(0, 2);
+    /// assert!(g.conflicts(0, 2));
+    /// assert!(g.conflicts(2, 0));
+    /// assert!(!g.conflicts(0, 1));
+    /// assert_eq!(g.num_conflicts(), 1);
+    /// ```
     ///
     /// # Panics
     ///
@@ -417,10 +429,9 @@ impl ConflictGraph {
         size
     }
 
-    /// The greedy clique bound of
-    /// [`ConflictMatrix::clique_lower_bound`](crate::ConflictMatrix::clique_lower_bound),
-    /// computed word-parallel: vertices in decreasing-degree order, each
-    /// accepted when it conflicts with everything already chosen.
+    /// A greedy clique bound, computed word-parallel: vertices in
+    /// decreasing-degree order, each accepted when it conflicts with
+    /// everything already chosen.
     #[must_use]
     pub fn clique_lower_bound(&self) -> usize {
         if self.n == 0 {
@@ -692,7 +703,41 @@ mod tests {
             5,
         ));
         let stats = WindowStats::analyze(&tr, 1000);
-        assert!(ConflictGraph::from_stats(&stats, 0.4).conflicts(0, 1));
+        // A 2-cycle overlap, far below any threshold up to the paper's
+        // 50 % cap — but both streams are critical.
+        for threshold in [0.4, 0.5] {
+            assert!(ConflictGraph::from_stats(&stats, threshold).conflicts(0, 1));
+        }
+    }
+
+    /// Two single-event targets, the second starting at `second_start`,
+    /// analysed in one 100-cycle window.
+    fn two_events(second_start: u64) -> WindowStats {
+        let mut tr = Trace::new(2, 2);
+        tr.push(TraceEvent::new(
+            InitiatorId::new(0),
+            TargetId::new(0),
+            0,
+            10,
+        ));
+        tr.push(TraceEvent::new(
+            InitiatorId::new(1),
+            TargetId::new(1),
+            second_start,
+            10,
+        ));
+        WindowStats::analyze(&tr, 100)
+    }
+
+    #[test]
+    fn zero_threshold_flags_any_overlap() {
+        // One cycle of overlap exceeds a zero threshold.
+        assert!(ConflictGraph::from_stats(&two_events(9), 0.0).conflicts(0, 1));
+    }
+
+    #[test]
+    fn disjoint_targets_never_conflict() {
+        assert!(!ConflictGraph::from_stats(&two_events(50), 0.0).conflicts(0, 1));
     }
 
     #[test]
@@ -824,9 +869,24 @@ mod tests {
                         prop_assert_eq!(graph.conflicts_with_set(t, &set), expected);
                     }
                 }
-                // And the matrix wrapper stays in lockstep with the graph.
-                let cm = crate::ConflictMatrix::from_stats_only(&stats, threshold);
-                prop_assert_eq!(cm.to_graph(), graph);
+            }
+
+            /// Raising the threshold only removes conflicts: every pair
+            /// that conflicts at the higher threshold conflicts at the
+            /// lower one too.
+            #[test]
+            fn conflicts_are_monotone_in_the_threshold(
+                tr in arb_trace(),
+                ws in 1u64..250,
+                low in 0u32..=50,
+                step in 0u32..=50,
+            ) {
+                let stats = WindowStats::analyze(&tr, ws);
+                let loose = ConflictGraph::from_stats(&stats, f64::from(low) / 100.0);
+                let tight = ConflictGraph::from_stats(&stats, f64::from(low + step) / 100.0);
+                for (i, j) in tight.pairs() {
+                    prop_assert!(loose.conflicts(i, j), "pair ({}, {})", i, j);
+                }
             }
         }
     }

@@ -29,6 +29,7 @@
 
 use crate::ids::TargetId;
 use crate::trace::{Trace, TraceEvent};
+use crate::window::AnalysisTooLarge;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
@@ -110,6 +111,10 @@ pub enum DeltaError {
     },
     /// The threshold override is negative, NaN or infinite.
     InvalidThreshold,
+    /// The patched traffic's window analysis would exceed
+    /// [`crate::window::MAX_ANALYSIS_CELLS`] (an edit far past the
+    /// horizon, say).
+    AnalysisTooLarge(AnalysisTooLarge),
 }
 
 impl fmt::Display for DeltaError {
@@ -152,6 +157,7 @@ impl fmt::Display for DeltaError {
                     "threshold override must be a non-negative finite fraction"
                 )
             }
+            DeltaError::AnalysisTooLarge(e) => e.fmt(f),
         }
     }
 }

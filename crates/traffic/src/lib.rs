@@ -13,8 +13,7 @@
 //!   `om(i,j)` of Eq. (1);
 //! * the pre-processing products of Eq. (2): the word-parallel bitset
 //!   [`ConflictGraph`] built from overlap thresholds and overlapping
-//!   critical streams (with [`ConflictMatrix`] as its packed-triangle
-//!   display form) — the shared feasibility core every binding solver
+//!   critical streams — the shared feasibility core every binding solver
 //!   queries in its innermost loop;
 //! * the sweep-resident [`OverlapProfile`]: per-pair peak overlaps
 //!   extracted once from the window analysis, after which any overlap
@@ -28,21 +27,20 @@
 //! # Example
 //!
 //! ```
-//! use stbus_traffic::{workloads, WindowStats, ConflictMatrix};
+//! use stbus_traffic::{workloads, ConflictGraph, WindowStats};
 //!
 //! // Generate the 21-core Mat2 benchmark from the paper (9 ARMs, 12 targets).
 //! let app = workloads::matrix::mat2(0xB5);
 //! let stats = WindowStats::analyze(&app.trace, 1_000);
-//! let conflicts = ConflictMatrix::from_stats(&stats, 0.30, &app.spec);
+//! let conflicts = ConflictGraph::from_stats(&stats, 0.30);
 //! assert_eq!(stats.num_targets(), app.spec.num_targets());
-//! assert!(conflicts.num_targets() == app.spec.num_targets());
+//! assert_eq!(conflicts.num_targets(), app.spec.num_targets());
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod burst;
-pub mod conflict;
 pub mod conflict_graph;
 pub mod delta;
 pub mod ids;
@@ -58,7 +56,6 @@ pub mod window_plan;
 pub mod workloads;
 
 pub use burst::{Burst, BurstStats};
-pub use conflict::ConflictMatrix;
 pub use conflict_graph::{ConflictGraph, TargetSet};
 pub use delta::{DeltaError, TargetEdit, WorkloadDelta};
 pub use ids::{InitiatorId, TargetId};
@@ -67,6 +64,6 @@ pub use model::{CoreKind, InitiatorSpec, SocSpec, TargetSpec};
 pub use overlap_profile::OverlapProfile;
 pub use stats::Summary;
 pub use trace::{Trace, TraceEvent};
-pub use window::{OverlapMatrix, WindowStats};
+pub use window::{AnalysisTooLarge, OverlapMatrix, WindowStats, MAX_ANALYSIS_CELLS};
 pub use window_plan::WindowPlan;
 pub use workloads::Application;

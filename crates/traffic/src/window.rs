@@ -19,6 +19,34 @@ use crate::ids::TargetId;
 use crate::interval::{Interval, IntervalSet};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::error::Error;
+use std::fmt;
+
+/// The most `u64` cells one window analysis may allocate (2²⁶ cells,
+/// 512 MiB). Every workload the repo ships stays below it: the largest,
+/// a 32-target scaled SoC analysed in 1-cycle windows, needs about 62M.
+pub const MAX_ANALYSIS_CELLS: u64 = 1 << 26;
+
+/// A window analysis refused before it allocates: its tables would hold
+/// more than [`MAX_ANALYSIS_CELLS`] cells.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AnalysisTooLarge {
+    /// Cells the refused analysis would have allocated (saturating).
+    pub cells: u64,
+}
+
+impl fmt::Display for AnalysisTooLarge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "the window analysis would allocate {} cells, over the cap of {MAX_ANALYSIS_CELLS}; \
+             use a larger window or a shorter trace",
+            self.cells
+        )
+    }
+}
+
+impl Error for AnalysisTooLarge {}
 
 /// Symmetric matrix of aggregate pairwise overlaps `om(i,j)` (Eq. 1).
 ///
@@ -158,6 +186,37 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
+    /// Refuses a window analysis of `traces` (both crossbar directions,
+    /// or the one a trace-mode request designs) whose tables would exceed
+    /// [`MAX_ANALYSIS_CELLS`]. An analysis of a trace with `n` targets in
+    /// windows of `window_size` cycles holds `(n(n−1)/2 + 2n) ×
+    /// ⌈horizon / window_size⌉` cells: the per-pair overlaps plus two
+    /// per-target rows per window. A variable window plan never has more
+    /// windows than the uniform plan at its finest size, so this bounds it
+    /// too.
+    ///
+    /// # Errors
+    ///
+    /// [`AnalysisTooLarge`] naming the first trace's cell count over the
+    /// cap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window_size == 0`.
+    pub fn check_size(traces: &[&Trace], window_size: u64) -> Result<(), AnalysisTooLarge> {
+        assert!(window_size > 0, "window size must be positive");
+        for trace in traces {
+            let n = trace.num_targets() as u64;
+            let per_window = (n.saturating_mul(n.saturating_sub(1)) / 2).saturating_add(2 * n);
+            let windows = trace.horizon().div_ceil(window_size).max(1);
+            let cells = per_window.saturating_mul(windows);
+            if cells > MAX_ANALYSIS_CELLS {
+                return Err(AnalysisTooLarge { cells });
+            }
+        }
+        Ok(())
+    }
+
     /// Runs the window analysis over a trace.
     ///
     /// Transactions to the same target are merged (union) before counting,

@@ -15,9 +15,7 @@
 //!   engine: `exact_bitset` where the exact search answers, otherwise
 //!   the portfolio), with a marker when the engine is not pure exact;
 //! * the θ-sweep incremental-vs-rebuild speedup;
-//! * gateway throughput (requests/s) and the hot-path node rate;
-//! * the learned-search 48-target witness cost (nodes), once the
-//!   `learned_search` bench section exists.
+//! * gateway throughput (requests/s) and the hot-path node rate.
 //!
 //! Snapshots are heterogeneous by design — older lines predate newer
 //! sections — so absent metrics render as `—` and deltas only appear
@@ -36,7 +34,6 @@ struct Snapshot {
     theta_speedup: Option<f64>,
     gateway_rps: Option<f64>,
     node_rate: Option<f64>,
-    learned_witness_nodes: Option<f64>,
 }
 
 fn number(value: Option<&Value>) -> Option<f64> {
@@ -81,10 +78,6 @@ fn extract(value: &Value) -> Snapshot {
             .get("hotpath")
             .and_then(|h| h.get("exact_32"))
             .and_then(|e| number(e.get("node_rate_per_s"))),
-        learned_witness_nodes: value
-            .get("learned_search")
-            .and_then(|l| l.get("witness_15_buses"))
-            .and_then(|w| number(w.get("nodes"))),
     }
 }
 
@@ -211,12 +204,12 @@ pub fn render(history: &str, snapshot: Option<&str>) -> Result<String, String> {
     for &targets in &size_columns {
         out.push_str(&format!(" {} |", size_header(targets)));
     }
-    out.push_str(" θ-sweep× | gateway req/s | node rate/s | learned 15-bus nodes |\n");
+    out.push_str(" θ-sweep× | gateway req/s | node rate/s |\n");
     out.push_str("|---|");
     for _ in &size_columns {
         out.push_str("---|");
     }
-    out.push_str("---|---|---|---|\n");
+    out.push_str("---|---|---|\n");
 
     for (i, snap) in snapshots.iter().enumerate() {
         let prev = i.checked_sub(1).map(|p| &snapshots[p]);
@@ -237,15 +230,10 @@ pub fn render(history: &str, snapshot: Option<&str>) -> Result<String, String> {
             ));
         }
         out.push_str(&format!(
-            " {} | {} | {} | {} |\n",
+            " {} | {} | {} |\n",
             cell(snap.theta_speedup, prev.and_then(|p| p.theta_speedup), ""),
             cell(snap.gateway_rps, prev.and_then(|p| p.gateway_rps), ""),
             cell(snap.node_rate, prev.and_then(|p| p.node_rate), ""),
-            cell(
-                snap.learned_witness_nodes,
-                prev.and_then(|p| p.learned_witness_nodes),
-                ""
-            ),
         ));
     }
     Ok(out)
@@ -264,8 +252,7 @@ mod tests {
         {"targets":32,"engine":"exact","seconds":{"exact_bitset":0.57}},
         {"targets":48,"engine":"portfolio-heuristic","seconds":{"portfolio":0.30}}],
         "theta_sweep":{"speedup_incremental_vs_rebuild":9.87},
-        "gateway_throughput":{"requests_per_sec":90.0},
-        "learned_search":{"witness_15_buses":{"nodes":16445}}}"#;
+        "gateway_throughput":{"requests_per_sec":90.0}}"#;
 
     fn history() -> String {
         format!("{}\n{}\n", OLD.replace('\n', " "), NEW.replace('\n', " "))
@@ -285,8 +272,8 @@ mod tests {
         // The 32t column exists but the old row has no value for it.
         assert!(report.contains("32t s"), "{report}");
         assert!(report.contains("—"), "{report}");
-        // Learned-search section surfaces once present.
-        assert!(report.contains("16445"), "{report}");
+        // Gateway throughput surfaces once present.
+        assert!(report.contains("| 90.00 |"), "{report}");
     }
 
     #[test]

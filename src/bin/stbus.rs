@@ -4,13 +4,9 @@
 //! stbus generate <mat1|mat2|fft|qsort|des|synthetic> [--seed N] [--out FILE]
 //! stbus analyze    --trace FILE [--window N] [--threshold F]
 //! stbus synthesize --trace FILE [--window N] [--threshold F] [--maxtb N]
-//!                  [--solver exact|heuristic|portfolio] [--jobs N]
-//!                  [--pruning off|standard|aggressive]
-//!                  [--search standard|learned] [--json]
+//!                  [--solver exact|heuristic|portfolio] [--jobs N] [--json]
 //! stbus simulate   --trace FILE (--shared | --full | --buses 0,0,1,...)
-//! stbus suite      [--solver exact|heuristic|portfolio] [--jobs N]
-//!                  [--pruning off|standard|aggressive]
-//!                  [--search standard|learned] [--json]
+//! stbus suite      [--solver exact|heuristic|portfolio] [--jobs N] [--json]
 //! stbus serve      [--addr HOST:PORT] [--jobs N] [--queue-depth N]
 //!                  [--tenant-queue-depth N] [--cache-entries N]
 //!                  [--keep-alive-requests N] [--idle-timeout-ms N]
@@ -38,22 +34,9 @@
 //! bit-identical at every setting — the flag only trades wall-clock for
 //! cores.
 //!
-//! `--pruning LEVEL` sets the per-node lower-bound pruning of the exact
-//! binding search: `standard` (default) is bit-identical to `off`
-//! whenever the unpruned search fits the node budget and is what lets
-//! exact infeasibility proofs scale past ~32 targets; `aggressive` adds
-//! best-fit candidate ordering — same verdicts and probe logs, possibly
-//! a different (equal-objective) binding.
-//!
-//! `--search learned` switches the exact feasibility probes to the
-//! conflict-driven engine ([`stbus::milp::SearchLevel::Learned`]):
-//! nogood learning from refuted subtrees plus a Luby restart portfolio
-//! with perturbed value orders — the engine for phase-transition
-//! instances (48-target probes at tight bus counts) the frozen-order
-//! DFS cannot crack. Same verdicts as `standard` whenever both complete
-//! within budget; bindings and probe node counts may differ. Outcomes
-//! gain `nogoods_learned`/`restarts` fields in `--json` when learning
-//! actually ran.
+//! Phase 3 runs the paper's one exact search (the binary search over
+//! bus counts with pruned feasibility probes, then MILP-2), so `--solver`
+//! and `--jobs` are the only solver flags.
 //!
 //! `serve` starts the long-running HTTP+JSON gateway ([`stbus::gateway`])
 //! and blocks until a `POST /shutdown` drains it. Example session:
@@ -80,7 +63,6 @@
 //! suite in CI.
 
 use stbus::core::{Batch, DesignParams, Preprocessed, SolverKind, SynthesisOutcome};
-use stbus::milp::{PruningLevel, SearchLevel};
 use stbus::report::Table;
 use stbus::sim::{simulate, CrossbarConfig};
 use stbus::traffic::{io, workloads, Trace, WindowStats};
@@ -104,13 +86,9 @@ const USAGE: &str = "usage:
   stbus generate <mat1|mat2|fft|qsort|des|synthetic> [--seed N] [--out FILE]
   stbus analyze    --trace FILE [--window N] [--threshold F]
   stbus synthesize --trace FILE [--window N] [--threshold F] [--maxtb N]
-                   [--solver exact|heuristic|portfolio] [--jobs N]
-                   [--pruning off|standard|aggressive]
-                   [--search standard|learned] [--json]
+                   [--solver exact|heuristic|portfolio] [--jobs N] [--json]
   stbus simulate   --trace FILE (--shared | --full | --buses 0,0,1,...)
-  stbus suite      [--solver exact|heuristic|portfolio] [--jobs N]
-                   [--pruning off|standard|aggressive]
-                   [--search standard|learned] [--json]
+  stbus suite      [--solver exact|heuristic|portfolio] [--jobs N] [--json]
   stbus serve      [--addr HOST:PORT] [--jobs N] [--queue-depth N]
                    [--tenant-queue-depth N] [--cache-entries N]
                    [--keep-alive-requests N] [--idle-timeout-ms N]
@@ -213,6 +191,7 @@ fn analyze<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String> {
         }
     }
     let trace = load_trace(trace_path.as_deref())?;
+    WindowStats::check_size(&[&trace], window).map_err(|e| e.to_string())?;
     let stats = WindowStats::analyze(&trace, window);
     println!(
         "{} events over {} cycles; {} windows of {} cycles",
@@ -284,8 +263,6 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
             "--maxtb" => params = params.with_maxtb(parse(value(args, flag)?, "maxtb")?),
             "--solver" => solver = value(args, flag)?.parse()?,
             "--jobs" => jobs = Some(parse_jobs(value(args, flag)?)?),
-            "--pruning" => params = params.with_pruning(value(args, flag)?.parse()?),
-            "--search" => params = params.with_search(value(args, flag)?.parse()?),
             "--heuristic" => {
                 eprintln!("note: --heuristic is deprecated; use --solver heuristic");
                 solver = SolverKind::Heuristic;
@@ -299,6 +276,7 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
     apply_jobs(jobs);
     let jobs = jobs.or_else(|| NonZeroUsize::new(stbus::exec::parallelism()));
     let trace = load_trace(trace_path.as_deref())?;
+    WindowStats::check_size(&[&trace], params.window_size).map_err(|e| e.to_string())?;
     let pre = Preprocessed::analyze(&trace, &params);
     let outcome = solver
         .synthesizer(jobs)
@@ -388,15 +366,11 @@ fn simulate_cmd<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), Stri
 fn suite<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String> {
     let mut solver = SolverKind::Exact;
     let mut jobs: Option<NonZeroUsize> = None;
-    let mut pruning: Option<PruningLevel> = None;
-    let mut search: Option<SearchLevel> = None;
     let mut json = false;
     while let Some(flag) = args.next() {
         match flag {
             "--solver" => solver = value(args, flag)?.parse()?,
             "--jobs" => jobs = Some(parse_jobs(value(args, flag)?)?),
-            "--pruning" => pruning = Some(value(args, flag)?.parse()?),
-            "--search" => search = Some(value(args, flag)?.parse()?),
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -407,17 +381,8 @@ fn suite<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String> {
     // concurrency capped by --jobs; the batch defaults to the executor's
     // full parallelism on its own).
     apply_jobs(jobs);
-    let mut batch = Batch::per_app(&apps, move |app| {
-        let mut params = stbus::core::paper_suite_params(app.name());
-        if let Some(level) = pruning {
-            params = params.with_pruning(level);
-        }
-        if let Some(level) = search {
-            params = params.with_search(level);
-        }
-        params
-    })
-    .with_strategy_kind(solver);
+    let mut batch = Batch::per_app(&apps, |app| stbus::core::paper_suite_params(app.name()))
+        .with_strategy_kind(solver);
     if let Some(jobs) = jobs {
         batch = batch.threads(jobs.get());
     }

@@ -142,30 +142,6 @@ proptest! {
         );
     }
 
-    /// The aggressive level keeps verdicts: feasibility answers match the
-    /// unpruned search, and any returned binding verifies against the
-    /// problem's own constraints.
-    #[test]
-    fn aggressive_level_keeps_verdicts(
-        (demands, conflicts, maxtb) in arb_instance(),
-        buses in 1usize..=5,
-    ) {
-        let problem = build_problem(buses, &demands, &conflicts, maxtb);
-        let off = problem
-            .find_feasible(&limits(PruningLevel::Off))
-            .expect("within limits");
-        let aggressive = problem
-            .find_feasible(&limits(PruningLevel::Aggressive))
-            .expect("within limits");
-        prop_assert_eq!(off.is_some(), aggressive.is_some(), "verdict diverged");
-        if let Some(binding) = &aggressive {
-            prop_assert!(
-                problem.verify(binding).is_some(),
-                "aggressive binding violates constraints"
-            );
-        }
-    }
-
     /// The generic-MILP node cut is admissible too: the cut-enabled
     /// crossbar MILP agrees with the cut-free one on feasibility and on
     /// the optimal objective.
@@ -213,11 +189,7 @@ fn certificates_fire_on_crafted_states() {
     let state = NodeState::root(&p);
     assert!(CliqueCoverBound::default().buses_needed(&state.context(&p)) > p.num_buses());
     // And the pruned searches agree it is infeasible, bit for bit.
-    for pruning in [
-        PruningLevel::Off,
-        PruningLevel::Standard,
-        PruningLevel::Aggressive,
-    ] {
+    for pruning in [PruningLevel::Off, PruningLevel::Standard] {
         assert_eq!(p.find_feasible(&limits(pruning)).unwrap(), None);
     }
 }

@@ -19,7 +19,6 @@
 use stbus::core::{DesignParams, Exact, Pipeline, Preprocessed, SolverKind, Synthesizer};
 use stbus::gateway::json::{self, Value};
 use stbus::gateway::{Gateway, GatewayConfig};
-use stbus::milp::{PruningLevel, SearchLevel};
 use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetEdit, TargetId, TraceEvent, WorkloadDelta};
 use std::io::{Read, Write};
@@ -754,59 +753,44 @@ fn shutdown_drains_in_flight_streams_and_refuses_new_connections() {
     assert!(refused, "server must stop accepting after drain");
 }
 
-/// The wire solver knobs reach the solver: a trace-mode `/synthesize`
-/// with `"pruning":"off","search":"learned"` answers byte for byte what
-/// `Exact` answers on the same trace with those levels set on the
-/// params.
+/// The removed solver knobs are refused, not ignored: a trace-mode
+/// `/synthesize` naming `"pruning"` or `"search"` answers `400`, and the
+/// knob-free body answers byte for byte what `Exact` answers on the same
+/// trace.
 #[test]
-fn trace_mode_solver_knobs_reach_the_solver() {
+fn trace_mode_removed_solver_knobs_are_rejected() {
     let gateway = spawn_gateway(2, 8);
     let addr = gateway.addr();
 
-    // The conflict-dense 24-target point: hard enough that the learned
-    // engine restarts and learns, so its counters show in the bytes.
     let trace = &workloads::synthetic::scaled_soc(24, 42).trace;
     let params = DesignParams::default()
         .with_overlap_threshold(0.12)
         .with_window_size(2_000)
         .with_maxtb(6);
-    let solve = |params: &DesignParams| {
-        Exact::default()
-            .synthesize(&Preprocessed::analyze(trace, params), params)
-            .expect("direct synthesis")
-            .to_json("exact")
-    };
-    let direct = solve(
-        &params
-            .clone()
-            .with_pruning(PruningLevel::Off)
-            .with_search(SearchLevel::Learned),
-    );
-    // A dropped knob cannot pass unnoticed.
-    assert_ne!(
-        direct,
-        solve(&params),
-        "the knobs must change the outcome bytes"
-    );
+    let direct = Exact::default()
+        .synthesize(&Preprocessed::analyze(trace, &params), &params)
+        .expect("direct synthesis")
+        .to_json("exact");
 
     let escaped = stbus::traffic::io::trace_to_string(trace)
         .replace('\\', "\\\\")
         .replace('\n', "\\n");
-    let (status, body) = http_post(
-        addr,
-        "/synthesize",
-        &format!(
-            "{{\"trace\":\"{escaped}\",\"threshold\":0.12,\"window\":2000,\"maxtb\":6,\
-             \"pruning\":\"off\",\"search\":\"learned\"}}"
-        ),
-        None,
-    );
+    let body_with = |knobs: &str| {
+        format!("{{\"trace\":\"{escaped}\",\"threshold\":0.12,\"window\":2000,\"maxtb\":6{knobs}}}")
+    };
+    for knobs in [
+        r#","pruning":"off""#,
+        r#","search":"standard""#,
+        r#","pruning":null"#,
+    ] {
+        let (status, body) = http_post(addr, "/synthesize", &body_with(knobs), None);
+        assert_eq!(status, 400, "{knobs}: {body}");
+        assert!(body.contains("was removed"), "{knobs}: {body}");
+    }
+
+    let (status, body) = http_post(addr, "/synthesize", &body_with(""), None);
     assert_eq!(status, 200, "body: {body}");
-    assert_eq!(
-        body,
-        format!("{direct}\n"),
-        "wire knobs must reach the solver"
-    );
+    assert_eq!(body, format!("{direct}\n"), "trace mode must match `Exact`");
 
     gateway.shutdown();
     gateway.join();
@@ -827,6 +811,79 @@ fn deeply_nested_json_is_rejected_and_the_gateway_survives() {
     let (status, body) = http_get(addr, "/stats");
     assert_eq!(status, 200, "body: {body}");
 
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// Posts `body` to `/synthesize`, expects the phase-2 cell cap to refuse
+/// it with a `400`, and checks the gateway still answers `/stats`.
+fn assert_refused_by_the_cell_cap(addr: SocketAddr, body: &str) {
+    let (status, reply) = http_post(addr, "/synthesize", body, None);
+    assert_eq!(status, 400, "body: {reply}");
+    assert!(reply.contains("over the cap"), "body: {reply}");
+    let (status, reply) = http_get(addr, "/stats");
+    assert_eq!(status, 200, "body: {reply}");
+}
+
+/// A 512-target SoC in 1-cycle windows would need about 189 GB of window
+/// tables; the gateway refuses it instead of aborting on the allocation.
+#[test]
+fn oversized_window_analysis_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    assert_refused_by_the_cell_cap(gateway.addr(), r#"{"scaled":512,"window":1}"#);
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A huge response scale stretches the response trace, not the request
+/// one: the cap covers both directions.
+#[test]
+fn huge_response_scale_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    assert_refused_by_the_cell_cap(gateway.addr(), r#"{"suite":"mat2","response_scale":1e300}"#);
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// Trace mode: two events, one starting at cycle 4·10¹², span four
+/// billion windows.
+#[test]
+fn far_trace_event_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    let body = r#"{"trace":"initiators=1 targets=2\n0,0,0,8,0\n0,1,4000000000000,8,0\n"}"#;
+    assert_refused_by_the_cell_cap(gateway.addr(), body);
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A delta edit far past the horizon is refused against a live artifact,
+/// which keeps serving deltas afterwards.
+#[test]
+fn far_delta_event_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+    let (status, body) = http_post(
+        addr,
+        "/synthesize",
+        r#"{"suite":"mat2","seed":42,"threshold":0.15}"#,
+        None,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let artifact = json::parse(body.trim())
+        .expect("JSON response")
+        .get("artifact")
+        .and_then(Value::as_str)
+        .expect("artifact address")
+        .to_string();
+    let edit = |start: u64| {
+        format!(
+            "{{\"artifact\":\"{artifact}\",\"delta\":{{\"edits\":[{{\"target\":1,\
+             \"events\":[[0,{start},5]]}}]}}}}"
+        )
+    };
+    assert_refused_by_the_cell_cap(addr, &edit(4_000_000_000_000));
+    let (status, body) = http_post(addr, "/synthesize", &edit(10), None);
+    assert_eq!(status, 200, "body: {body}");
     gateway.shutdown();
     gateway.join();
 }

@@ -16,8 +16,8 @@
 //!   logs, chosen bus count, lower bound and the optimised
 //!   `max_bus_overlap` are identical to a cold solve, sequentially and
 //!   under the probe scheduler (`jobs ∈ {1, 2, 4, 8}`). Only the returned
-//!   assignment may legitimately differ (the same contract
-//!   [`PruningLevel::Aggressive`] is held to), and it must verify.
+//!   assignment may legitimately differ (a different equal-objective
+//!   leaf may be reached first), and it must verify.
 //!   Checked on the five paper suites and scaled synthetic instances,
 //!   for a one-target edit, a one-θ-step move, and a target removal
 //!   (the warm hint's arity no longer matches — it must demote itself,
