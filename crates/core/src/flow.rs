@@ -167,6 +167,14 @@ impl DesignReport {
     }
 }
 
+/// The paper-suite rows ([`DesignReport::paper_row_json`]) as one JSON
+/// array: the line `stbus suite --json` prints and the body `/suite`
+/// answers, so the two diff byte for byte.
+#[must_use]
+pub fn paper_rows_json(rows: &[String]) -> String {
+    format!("[{}]", rows.join(","))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -119,7 +119,7 @@ pub mod pipeline;
 pub mod synthesizer;
 
 pub use batch::{Batch, BatchResult};
-pub use flow::{ConfigEval, DesignReport, FlowError};
+pub use flow::{paper_rows_json, ConfigEval, DesignReport, FlowError};
 pub use incremental::TouchedTargets;
 pub use params::{paper_suite_params, DesignParams, Windowing};
 pub use phase2::Preprocessed;

@@ -223,6 +223,12 @@ impl<K: Eq + Hash + Clone, V> SingleFlightCache<K, V> {
     /// Evicts least-recently-used ready entries until at most `capacity`
     /// remain (in-flight slots are untouched and uncounted).
     fn evict_over_capacity(inner: &mut Inner<K, V>, capacity: usize) {
+        // The map holds the ready entries plus any in-flight slots, so a
+        // map within capacity needs no count: an unbounded store (a
+        // replay engine's) never scans on insert.
+        if inner.map.len() <= capacity {
+            return;
+        }
         loop {
             let ready = inner
                 .map

@@ -29,6 +29,11 @@
 //! | `GET /stats` | — | queue, request, cache and per-tenant counters |
 //! | `POST /shutdown` | — | `{"shutting_down":true}`, then drains |
 //!
+//! `"jobs"` (probe and sweep parallelism, result-invariant) may ride on
+//! every work route and is capped at [`wire::MAX_JOBS`] (256): a larger
+//! value answers `400`, since each request's width grows the shared
+//! executor and its threads never exit.
+//!
 //! The input spec names exactly one of `"trace"` (interchange-format
 //! text, designs **one** direction — the response body is byte-identical
 //! to `stbus synthesize --trace … --json`), `"suite"` (a named
@@ -139,8 +144,10 @@
 //!
 //! The journal doubles as a regression corpus: `stbus replay
 //! --journal-dir DIR` re-derives every recorded outcome through the
-//! [`replay::ReplayEngine`] — the same wire parsers, caches and solve
-//! paths as the live server — and diffs the bodies byte for byte.
+//! [`replay::ReplayEngine`] — the same wire parsers and the same route
+//! functions the live server's workers run, with the body taken from the
+//! outcome instead of sent to a client — and diffs the bodies byte for
+//! byte.
 //! Synthesis is deterministic at any worker count, so a diff means the
 //! code changed behaviour since the journal was written.
 
@@ -152,6 +159,7 @@ pub mod cache;
 pub mod http;
 pub mod json;
 pub mod replay;
+mod route;
 pub mod server;
 pub mod wire;
 

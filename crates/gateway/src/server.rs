@@ -1,5 +1,5 @@
-//! The gateway server: accept loop, connection threads, worker pool,
-//! shutdown orchestration and the artifact-cached execution paths.
+//! The gateway server: accept loop, connection threads, worker pool and
+//! shutdown orchestration.
 //!
 //! # Life of a request
 //!
@@ -18,8 +18,8 @@
 //! queue under the request's tenant (`X-Tenant` header, `"default"` when
 //! absent) — a full queue answers `429` with `Retry-After`, a closed one
 //! `503`. A worker thread claims the job in round-robin tenant order,
-//! runs it through the artifact caches, and streams replies back over a
-//! channel; the connection thread writes them to the socket.
+//! runs it (see below), and sends replies back over a channel; the
+//! connection thread writes them to the socket.
 //!
 //! # Cancellation
 //!
@@ -32,82 +32,30 @@
 //! are never consumed by it.) Queued jobs cancelled by shutdown are
 //! answered `503`.
 //!
-//! # Caching
+//! # Execution
 //!
-//! Workload-mode requests run the staged pipeline through two
-//! process-wide [`SingleFlightCache`]s, each bounded by
-//! [`GatewayConfig::cache_entries`]:
-//!
-//! * **collect cache** — key `[WorkloadSpec fingerprint, CollectionKey
-//!   fingerprint…]`, value a `CollectEntry`: the `Arc<Application>`
-//!   the spec builds, its [`Application::content_digest`], and the
-//!   phase-1 `Arc<CollectedTraffic>` (the expensive reference
-//!   simulation). Keying on the request's spec (generator and seed)
-//!   means a warm request never regenerates its application or digests
-//!   it again: [`WorkloadSpec::build`] is a pure function of the spec.
-//! * **analysis cache** — key `[app digest, CollectionKey fingerprint…,
-//!   AnalysisKey fingerprint…]`, value the phase-2 sweep-resident
-//!   [`AnalysisArtifact`].
-//!
-//! Both keys are injective encodings of everything their value depends
-//! on, so a cache hit is provably the same computation. A hit copies
-//! nothing: `CachedAnalysis` holds `Arc`s of the entry's application,
-//! traffic and analysis, the phase-2 re-threshold reads the traffic
-//! through one more `Arc`, and the `ResynthArtifact` a solve deposits
-//! shares the same three. The digest is computed once per collect miss
-//! and reused for the analysis key and the artifact address.
-//! `/suite` reaches the same entries through the five specs of
-//! `WorkloadSpec::paper_suite`. Trace-mode requests bypass the caches
-//! (their input has no application identity) and match the CLI byte for
-//! byte.
-//!
-//! # Incremental re-synthesis
-//!
-//! Every successful workload-mode `/synthesize` response carries an
-//! `"artifact"` content address naming a deposited [`ResynthArtifact`]:
-//! the collected traffic, the phase-2 analysis, the design parameters
-//! and solver knobs, and the bindings the solve produced. A later
-//! request that names that address plus a `"delta"` object (see
-//! [`crate::wire`]) skips phases 1–2 entirely: the worker rebuilds the
-//! analyzed state from the artifact, patches it in `O(touched ×
-//! targets)` via [`stbus_core::pipeline::Analyzed::reanalyze`], and runs
-//! phase 3 *warm-started* from the previous bindings
-//! ([`stbus_milp::SolveLimits::warm_start`]) — verdicts, probe logs and
-//! bus counts are contractually identical to a cold solve; only the
-//! returned binding may differ. The response carries a fresh chained
-//! `"artifact"` address, so a client can keep editing incrementally.
-//! An address this server never issued (or that LRU pressure evicted)
-//! answers `404`; the client falls back to a from-scratch request.
-//! `/stats` exposes `delta_reuse` / `delta_miss` counters, plus a
+//! A worker runs the job through the `route` module, the one
+//! implementation of each work route, against the server's caches and
+//! artifact store, each bounded by [`GatewayConfig::cache_entries`].
+//! Journal replay runs the same code. The route ends in an outcome, and
+//! `finish` turns that into the reply, the journal record and the
+//! `/stats` counters in one place: a body answers `200` (or ends the
+//! sweep's stream), an artifact miss `404`, a refused delta or an
+//! oversized analysis `400`, a solver failure `500` and a cancellation
+//! `499`. `/stats` exposes `delta_reuse` / `delta_miss` counters, plus a
 //! `by_tenant` breakdown attributing served requests and delta reuse to
-//! the `X-Tenant` that earned them. A θ-only delta changes neither the
-//! traffic nor the window analysis, so its deposit shares both `Arc`s
-//! with its parent; a traffic delta owns its patched copies.
-//!
-//! [`AnalysisKey`]: stbus_core::pipeline::AnalysisKey
-//! [`WorkloadSpec::build`]: crate::wire::WorkloadSpec::build
+//! the `X-Tenant` that earned them.
 
 use crate::admission::{IngressQueue, SubmitError};
-use crate::cache::SingleFlightCache;
 use crate::http::{self, ChunkedWriter, ReadOutcome, Request};
-use crate::wire::{
-    self, DeltaRequest, SuiteRequest, SynthesizeRequest, WorkRequest, WorkSpec, WorkloadSpec,
-};
-use stbus_core::phase1::CollectedTraffic;
-use stbus_core::pipeline::{
-    AnalysisArtifact, AnalysisKey, Analyzed, Collected, CollectionKey, Pipeline,
-};
-use stbus_core::{DesignParams, FlowError, Preprocessed, SolverKind, Synthesizer};
-use stbus_exec as exec;
+use crate::route::{self, RouteError, Routes, Sink};
+use crate::wire::{self, WorkRequest, WorkSpec};
 use stbus_exec::CancelToken;
 use stbus_journal::{FsyncPolicy, JournalWriter, Record, RecordKind, RecordStatus, WriterOptions};
-use stbus_milp::{Binding, NodeLimitExceeded, WarmStart};
-use stbus_traffic::workloads::Application;
-use stbus_traffic::{AnalysisTooLarge, DeltaError, WindowStats, WorkloadDelta};
+use stbus_milp::Binding;
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -188,6 +136,16 @@ enum Reply {
     StreamEnd,
 }
 
+impl Reply {
+    fn done(status: u16, reason: &'static str, body: String) -> Self {
+        Self::Done {
+            status,
+            reason,
+            body,
+        }
+    }
+}
+
 /// One admitted unit of work.
 struct Job {
     /// Process-unique request id (the `X-Request-Id` the client saw).
@@ -214,36 +172,10 @@ struct TenantCounters {
     rejected_quota: u64,
 }
 
-/// Everything a delta request needs to resume where a previous request
-/// left off: the collected traffic and phase-2 analysis (phases 1–2 are
-/// skipped entirely), the parameters (solver knobs included) and strategy
-/// the artifact pins, and the bindings the previous solve produced (the
-/// warm starts).
-/// Shared with [`crate::replay`], whose engine maintains the same store
-/// to chain deltas during offline replay.
-///
-/// The traffic and analysis are shared, not copied: with the collect
-/// and analysis cache entries they came from, and from parent to child
-/// along a chain of θ-only deltas.
-pub(crate) struct ResynthArtifact {
-    app: Arc<Application>,
-    params: DesignParams,
-    pub(crate) solver: SolverKind,
-    traffic: Arc<CollectedTraffic>,
-    analysis: Arc<AnalysisArtifact>,
-    warm_it: Binding,
-    warm_ti: Binding,
-}
-
 /// State shared by the acceptor, connection threads and workers.
 struct Shared {
     queue: IngressQueue<Job>,
-    front: FrontCaches,
-    /// Deposit-only store of re-synthesis artifacts, keyed by content
-    /// address. Entries are only ever [`SingleFlightCache::insert`]ed
-    /// (a miss answers `404`, nothing is recomputed) and share the LRU
-    /// eviction of the other artifact caches.
-    resynth_cache: SingleFlightCache<String, ResynthArtifact>,
+    routes: Routes,
     served: AtomicU64,
     rejected: AtomicU64,
     cancelled: AtomicU64,
@@ -355,8 +287,7 @@ impl Gateway {
                     .unwrap_or(config.queue_depth)
                     .max(1),
             ),
-            front: FrontCaches::new(config.cache_entries.max(1)),
-            resynth_cache: SingleFlightCache::new(config.cache_entries.max(1)),
+            routes: Routes::new(config.cache_entries.max(1)),
             served: AtomicU64::new(counters.served),
             rejected: AtomicU64::new(counters.rejected),
             cancelled: AtomicU64::new(counters.cancelled),
@@ -494,17 +425,17 @@ fn begin_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
         job.token.cancel();
         shared.cancelled.fetch_add(1, Ordering::Relaxed);
         shared.journal_event(
-            record_kind(&job.work),
+            route::record_kind(&job.work),
             RecordStatus::Cancelled,
             &job.tenant,
             &job.spec,
             "",
         );
-        let _ = job.reply.send(Reply::Done {
-            status: 503,
-            reason: "Service Unavailable",
-            body: "{\"error\":\"shutting down\"}\n".to_string(),
-        });
+        let _ = job.reply.send(Reply::done(
+            503,
+            "Service Unavailable",
+            "{\"error\":\"shutting down\"}\n".to_string(),
+        ));
     }
     // The acceptor is parked in accept(); a loopback connection wakes it
     // so it can observe the flag and exit.
@@ -690,7 +621,7 @@ fn dispatch(
 
     let token = CancelToken::new();
     let (reply_tx, reply_rx) = mpsc::channel();
-    let kind = record_kind(&work);
+    let kind = route::record_kind(&work);
     let job = Job {
         id: req_id,
         tenant: tenant.clone(),
@@ -839,38 +770,120 @@ fn relay_replies(
 }
 
 // ---------------------------------------------------------------------
-// Worker side: executing admitted jobs through the artifact caches.
+// Worker side: running admitted jobs through the routes.
 // ---------------------------------------------------------------------
+
+/// The live sink: a sweep's lines reach the connection thread as the
+/// chunks of one stream.
+struct ReplySink<'a> {
+    reply: &'a Sender<Reply>,
+    /// Whether the stream has started, after which a reply can only be
+    /// a chunk or the stream's end.
+    streaming: bool,
+}
+
+impl Sink for ReplySink<'_> {
+    fn start(&mut self) {
+        self.streaming = true;
+        let _ = self.reply.send(Reply::StreamStart);
+    }
+
+    fn line(&mut self, line: String) {
+        let _ = self.reply.send(Reply::Chunk(line));
+    }
+}
 
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.next() {
         shared.active.fetch_add(1, Ordering::AcqRel);
-        let outcome = catch_unwind(AssertUnwindSafe(|| execute(shared, &job)));
-        if outcome.is_err() {
-            shared.journal_event(
-                record_kind(&job.work),
-                RecordStatus::Error,
-                &job.tenant,
-                &job.spec,
-                "internal error",
-            );
-            let _ = job.reply.send(Reply::Done {
-                status: 500,
-                reason: "Internal Server Error",
-                body: "{\"error\":\"internal error\"}\n".to_string(),
-            });
-        }
+        let mut sink = ReplySink {
+            reply: &job.reply,
+            streaming: false,
+        };
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            shared.routes.run(&job.work, None, &job.token, &mut sink)
+        }))
+        .unwrap_or_else(|_| Err(RouteError::Solver("internal error".to_string())));
+        finish(shared, &job, outcome, sink.streaming);
         shared.active.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// The journal's classification of a work request.
-fn record_kind(work: &WorkRequest) -> RecordKind {
-    match work {
-        WorkRequest::Synthesize(_) => RecordKind::Synthesize,
-        WorkRequest::Sweep(_) => RecordKind::Sweep,
-        WorkRequest::Suite(_) => RecordKind::Suite,
-        WorkRequest::Delta(_) => RecordKind::Delta,
+/// Turns a route's outcome into the job's counters, its journal record
+/// and its reply, in that order: a client that has read its answer sees
+/// it counted in `/stats`. After a stream has started only a successful
+/// end is sent; otherwise the relay has already cancelled (or sees the
+/// channel close) and ends the connection.
+fn finish(shared: &Shared, job: &Job, outcome: Result<String, RouteError>, streaming: bool) {
+    if let WorkRequest::Delta(request) = &job.work {
+        // Every delta but a miss resolved its artifact, whatever its
+        // solve then did — the journal's counter recovery reads it so.
+        let hit = !matches!(outcome, Err(RouteError::ArtifactMiss));
+        if hit {
+            shared.delta_reuse.fetch_add(1, Ordering::Relaxed);
+            shared.bump_tenant(&job.tenant, true);
+        } else {
+            shared.delta_miss.fetch_add(1, Ordering::Relaxed);
+        }
+        if shared.log_requests {
+            let event = if hit { "delta_reuse" } else { "delta_miss" };
+            eprintln!(
+                "gw req={} tenant={} {event} artifact={}",
+                job.id, job.tenant, request.artifact
+            );
+        }
+    }
+    let error = |message: &str| format!("{{\"error\":\"{}\"}}\n", stbus_core::json_escape(message));
+    let (status, journaled, reply) = match &outcome {
+        Ok(body) => {
+            shared.served.fetch_add(1, Ordering::Relaxed);
+            shared.bump_tenant(&job.tenant, false);
+            let reply = if streaming {
+                Reply::StreamEnd
+            } else {
+                Reply::done(200, "OK", format!("{body}\n"))
+            };
+            (RecordStatus::Ok, body.as_str(), reply)
+        }
+        Err(RouteError::ArtifactMiss) => (
+            RecordStatus::ArtifactMiss,
+            "",
+            Reply::done(
+                404,
+                "Not Found",
+                "{\"error\":\"unknown artifact (evicted or never issued); \
+                 re-request from scratch\"}\n"
+                    .to_string(),
+            ),
+        ),
+        Err(RouteError::BadRequest(message)) => (
+            RecordStatus::Error,
+            message.as_str(),
+            Reply::done(400, "Bad Request", error(message)),
+        ),
+        Err(RouteError::Solver(message)) => (
+            RecordStatus::Error,
+            message.as_str(),
+            Reply::done(500, "Internal Server Error", error(message)),
+        ),
+        Err(RouteError::Cancelled) => {
+            shared.cancelled.fetch_add(1, Ordering::Relaxed);
+            (
+                RecordStatus::Cancelled,
+                "",
+                Reply::done(499, "Client Closed Request", error("cancelled")),
+            )
+        }
+    };
+    shared.journal_event(
+        route::record_kind(&job.work),
+        status,
+        &job.tenant,
+        &job.spec,
+        journaled,
+    );
+    if !streaming || matches!(reply, Reply::StreamEnd) {
+        let _ = job.reply.send(reply);
     }
 }
 
@@ -886,484 +899,9 @@ fn journal_spec(work: &WorkRequest, body: &str) -> String {
         WorkRequest::Suite(_) | WorkRequest::Delta(_) => false,
     };
     if trace_mode {
-        format!("trace:{:016x}", fnv1a(&[], body.as_bytes()))
+        format!("trace:{:016x}", route::fnv1a(&[], body.as_bytes()))
     } else {
         body.to_string()
-    }
-}
-
-/// Grows the shared executor when a request asks for more parallelism,
-/// mirroring the CLI's `--jobs` handling; returns the effective probe
-/// width (`None` on the request = the executor's width).
-pub(crate) fn effective_jobs(jobs: Option<NonZeroUsize>) -> Option<NonZeroUsize> {
-    if let Some(jobs) = jobs {
-        if jobs.get() > 1 {
-            stbus_exec::ensure_workers(jobs.get());
-        }
-    }
-    jobs.or_else(|| NonZeroUsize::new(stbus_exec::parallelism()))
-}
-
-fn execute(shared: &Arc<Shared>, job: &Job) {
-    match &job.work {
-        WorkRequest::Synthesize(request) => execute_synthesize(shared, request, job),
-        WorkRequest::Sweep(_) => execute_sweep(shared, job),
-        WorkRequest::Suite(request) => execute_suite(shared, request, job),
-        WorkRequest::Delta(request) => execute_delta(shared, request, job),
-    }
-}
-
-/// Sends the canonical terminal reply for a cancelled job.
-fn reply_cancelled(shared: &Arc<Shared>, job: &Job) {
-    shared.cancelled.fetch_add(1, Ordering::Relaxed);
-    shared.journal_event(
-        record_kind(&job.work),
-        RecordStatus::Cancelled,
-        &job.tenant,
-        &job.spec,
-        "",
-    );
-    let _ = job.reply.send(Reply::Done {
-        status: 499,
-        reason: "Client Closed Request",
-        body: "{\"error\":\"cancelled\"}\n".to_string(),
-    });
-}
-
-fn reply_solver_error(shared: &Arc<Shared>, job: &Job, error: &dyn std::fmt::Display) {
-    let message = error.to_string();
-    shared.journal_event(
-        record_kind(&job.work),
-        RecordStatus::Error,
-        &job.tenant,
-        &job.spec,
-        &message,
-    );
-    let _ = job.reply.send(Reply::Done {
-        status: 500,
-        reason: "Internal Server Error",
-        body: format!("{{\"error\":\"{}\"}}\n", stbus_core::json_escape(&message)),
-    });
-}
-
-/// Answers `400` for a request refused at execution time — an invalid
-/// delta, or a phase-2 window analysis too large to allocate — and
-/// journals it as an error.
-fn reply_bad_request(shared: &Arc<Shared>, job: &Job, message: &str) {
-    shared.journal_event(
-        record_kind(&job.work),
-        RecordStatus::Error,
-        &job.tenant,
-        &job.spec,
-        message,
-    );
-    let _ = job.reply.send(Reply::Done {
-        status: 400,
-        reason: "Bad Request",
-        body: format!("{{\"error\":\"{}\"}}\n", stbus_core::json_escape(message)),
-    });
-}
-
-/// One collect-cache entry: the application a workload spec builds,
-/// its content digest, and its phase-1 traffic under one
-/// [`CollectionKey`]. The entry is keyed by the spec, so a warm request
-/// finds all three without generating, digesting or collecting again.
-pub(crate) struct CollectEntry {
-    app: Arc<Application>,
-    digest: u64,
-    traffic: Arc<CollectedTraffic>,
-}
-
-/// The two caches of the workload-mode front half. The live server
-/// holds one pair, bounded by [`GatewayConfig::cache_entries`]; each
-/// replay engine holds its own.
-pub(crate) struct FrontCaches {
-    /// Key: the [`WorkloadSpec`] fingerprint, then the
-    /// [`CollectionKey`] fingerprint.
-    collect: SingleFlightCache<[u64; 5], CollectEntry>,
-    /// Key: the application digest, then the [`CollectionKey`] and
-    /// [`AnalysisKey`] fingerprints.
-    analysis: SingleFlightCache<[u64; 8], AnalysisArtifact>,
-}
-
-impl FrontCaches {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self {
-            collect: SingleFlightCache::new(capacity),
-            analysis: SingleFlightCache::new(capacity),
-        }
-    }
-
-    /// The cached phase-1/phase-2 front half of a workload-mode request:
-    /// look up (or build and collect) the application, then look up (or
-    /// run) the window analysis.
-    ///
-    /// # Errors
-    ///
-    /// [`AnalysisTooLarge`] when an analysis miss would allocate more
-    /// than the cap allows; warm hits never re-check.
-    pub(crate) fn front(
-        &self,
-        spec: &WorkloadSpec,
-        params: &DesignParams,
-    ) -> Result<CachedAnalysis, AnalysisTooLarge> {
-        self.front_with(spec, params, || Arc::new(spec.build()))
-    }
-
-    /// [`FrontCaches::front`] with the caller supplying the application
-    /// on a collect miss — `/suite` already holds its applications.
-    /// `app` must build what `spec` builds.
-    pub(crate) fn front_with(
-        &self,
-        spec: &WorkloadSpec,
-        params: &DesignParams,
-        app: impl FnOnce() -> Arc<Application>,
-    ) -> Result<CachedAnalysis, AnalysisTooLarge> {
-        let [generator, seed] = spec.fingerprint();
-        let ck = CollectionKey::of(params).fingerprint();
-        let entry = self
-            .collect
-            .get_or_compute([generator, seed, ck[0], ck[1], ck[2]], || {
-                let app = app();
-                let traffic = Arc::clone(Pipeline::collect(&app, params).shared_traffic());
-                CollectEntry {
-                    digest: app.content_digest(),
-                    app,
-                    traffic,
-                }
-            });
-        let ak = AnalysisKey::of(params).fingerprint();
-        let analysis_key = [
-            entry.digest,
-            ck[0],
-            ck[1],
-            ck[2],
-            ak[0],
-            ak[1],
-            ak[2],
-            ak[3],
-        ];
-        let artifact = self.analysis.get_or_try_compute(analysis_key, || {
-            let traffic = &entry.traffic;
-            WindowStats::check_size(&[&traffic.it_trace, &traffic.ti_trace], params.window_size)?;
-            Ok(
-                Collected::from_cached(&entry.app, params, Arc::clone(traffic))
-                    .analysis_artifact(params),
-            )
-        })?;
-        Ok(CachedAnalysis {
-            app: Arc::clone(&entry.app),
-            digest: entry.digest,
-            traffic: Arc::clone(&entry.traffic),
-            artifact,
-        })
-    }
-}
-
-/// The resident phase-1/phase-2 state of one workload-mode request, as
-/// [`FrontCaches::front`] found it. Every field is shared with the
-/// cache entries; nothing here is a copy.
-pub(crate) struct CachedAnalysis {
-    app: Arc<Application>,
-    /// The application's content digest, computed once per collect miss.
-    digest: u64,
-    traffic: Arc<CollectedTraffic>,
-    artifact: Arc<AnalysisArtifact>,
-}
-
-impl CachedAnalysis {
-    /// Phase 2 at `params` from the cached window analysis: an O(pairs)
-    /// re-threshold over the shared traffic.
-    pub(crate) fn analyze(&self, params: &DesignParams) -> Analyzed<'_> {
-        Collected::from_cached(&self.app, params, Arc::clone(&self.traffic))
-            .analyze_with(&self.artifact, params)
-    }
-
-    /// The re-synthesis artifact of a solve of `request` that produced
-    /// these bindings.
-    pub(crate) fn deposit(
-        &self,
-        request: &SynthesizeRequest,
-        warm_it: Binding,
-        warm_ti: Binding,
-    ) -> ResynthArtifact {
-        ResynthArtifact {
-            app: Arc::clone(&self.app),
-            params: request.params.clone(),
-            solver: request.solver,
-            traffic: Arc::clone(&self.traffic),
-            analysis: Arc::clone(&self.artifact),
-            warm_it,
-            warm_ti,
-        }
-    }
-
-    /// Phase 3 of a workload-mode `/synthesize` on this front half: the
-    /// response body, its artifact address and the artifact to deposit
-    /// there. `Ok(None)` when `cancel` is raised.
-    pub(crate) fn solve(
-        &self,
-        request: &SynthesizeRequest,
-        strategy: &dyn Synthesizer,
-        cancel: &CancelToken,
-    ) -> Result<Option<SolvedPair>, FlowError> {
-        let analyzed = self.analyze(&request.params);
-        let Some(designed) = analyzed.synthesize_cancellable(strategy, cancel)? else {
-            return Ok(None);
-        };
-        let solver = request.solver.to_string();
-        let address = artifact_address(self.digest, request);
-        let body = pair_body(
-            self.app.name(),
-            &designed.it.to_json(&solver),
-            &designed.ti.to_json(&solver),
-            &address,
-        );
-        let artifact = self.deposit(
-            request,
-            designed.it.binding.clone(),
-            designed.ti.binding.clone(),
-        );
-        Ok(Some(SolvedPair {
-            body,
-            address,
-            artifact,
-        }))
-    }
-}
-
-impl ResynthArtifact {
-    /// Phase 2 of a delta request against this artifact: rebuild the
-    /// analyzed state from the stored traffic and analysis, then patch
-    /// it with `delta`. Phases 1–2 never re-run.
-    pub(crate) fn reanalyze(&self, delta: &WorkloadDelta) -> Result<Analyzed<'_>, DeltaError> {
-        Collected::from_cached(&self.app, &self.params, Arc::clone(&self.traffic))
-            .analyze_with(&self.analysis, &self.params)
-            .reanalyze(delta)
-    }
-
-    /// The artifact a delta solve deposits: `re` (from
-    /// [`ResynthArtifact::reanalyze`] with `delta`) and the bindings it
-    /// produced. A θ-only delta leaves the traffic and the window
-    /// analysis as they were, so the child shares both with this
-    /// artifact; a traffic delta owns its patched ones.
-    pub(crate) fn chained(
-        &self,
-        re: &Analyzed<'_>,
-        delta: &WorkloadDelta,
-        warm_it: Binding,
-        warm_ti: Binding,
-    ) -> Self {
-        let params = re.params().clone();
-        let analysis = if delta.touches_traffic() {
-            Arc::new(AnalysisArtifact::from_parts(
-                CollectionKey::of(&params),
-                AnalysisKey::of(&params),
-                (re.pre_it().stats.clone(), re.pre_it().profile.clone()),
-                (re.pre_ti().stats.clone(), re.pre_ti().profile.clone()),
-            ))
-        } else {
-            Arc::clone(&self.analysis)
-        };
-        Self {
-            app: Arc::clone(&self.app),
-            params,
-            solver: self.solver,
-            traffic: Arc::clone(re.collected().shared_traffic()),
-            analysis,
-            warm_it,
-            warm_ti,
-        }
-    }
-
-    /// Phase 3 of a delta request: each direction warm-started from this
-    /// artifact's binding, replied under the chained address. `Ok(None)`
-    /// when `cancel` is raised.
-    pub(crate) fn solve_delta(
-        &self,
-        re: &Analyzed<'_>,
-        request: &DeltaRequest,
-        strategy: &dyn Synthesizer,
-        cancel: &CancelToken,
-    ) -> Result<Option<SolvedPair>, NodeLimitExceeded> {
-        // Per-direction warm starts: the strategy's own limits are unset
-        // (`synthesizer` leaves them `None`), so each direction's params —
-        // carrying that direction's previous binding — reach the search.
-        // The warm start never changes verdicts, probe logs or bus counts
-        // (see `SolveLimits::warm_start`); it only lets the search seed or
-        // short-circuit from the previous answer.
-        let solve = |pre, warm: &Binding| {
-            let mut params = re.params().clone();
-            params.solve_limits = params
-                .solve_limits
-                .clone()
-                .with_warm_start(WarmStart::new(warm.clone()));
-            strategy.synthesize_cancellable(pre, &params, cancel)
-        };
-        let Some(it) = solve(re.pre_it(), &self.warm_it)? else {
-            return Ok(None);
-        };
-        let Some(ti) = solve(re.pre_ti(), &self.warm_ti)? else {
-            return Ok(None);
-        };
-        let solver = self.solver.to_string();
-        let address = chained_address(&request.artifact, &request.delta);
-        let body = pair_body(
-            self.app.name(),
-            &it.to_json(&solver),
-            &ti.to_json(&solver),
-            &address,
-        );
-        let artifact = self.chained(re, &request.delta, it.binding, ti.binding);
-        Ok(Some(SolvedPair {
-            body,
-            address,
-            artifact,
-        }))
-    }
-}
-
-/// FNV-1a over little-endian words, then over raw tag bytes — the
-/// content-address hash of the re-synthesis artifact store. Addresses
-/// only need to be stable within one server process (a client always
-/// learns them from a response), so no cross-version contract.
-fn fnv1a(words: &[u64], tags: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |byte: u8| {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    };
-    for word in words {
-        for byte in word.to_le_bytes() {
-            eat(byte);
-        }
-    }
-    for &byte in tags {
-        eat(byte);
-    }
-    hash
-}
-
-/// Content address of a fresh workload-mode artifact for `request`:
-/// the application `digest` ([`Application::content_digest`]), both
-/// phase fingerprints, and the solve-relevant knobs (θ, `maxtb`,
-/// solver). `jobs` is excluded — it is result-invariant.
-fn artifact_address(digest: u64, request: &SynthesizeRequest) -> String {
-    let params = &request.params;
-    let ck = CollectionKey::of(params).fingerprint();
-    let ak = AnalysisKey::of(params).fingerprint();
-    let words = [
-        digest,
-        ck[0],
-        ck[1],
-        ck[2],
-        ak[0],
-        ak[1],
-        ak[2],
-        ak[3],
-        params.overlap_threshold.to_bits(),
-        params.maxtb as u64,
-    ];
-    // `{solver}|None` are the historical address bytes: addresses once
-    // also folded an optional pruning level, unset on every request that
-    // can still be sent, so journals and fixtures keep their addresses.
-    let tags = format!("{}|None", request.solver);
-    format!("{:016x}", fnv1a(&words, tags.as_bytes()))
-}
-
-/// Content address of a chained artifact: the parent address folded with
-/// an injective encoding of the delta, so the same edit sequence always
-/// lands on the same entry and distinct edits never collide by design.
-fn chained_address(parent: &str, delta: &WorkloadDelta) -> String {
-    let mut words = vec![delta.add_targets as u64, delta.removed.len() as u64];
-    for t in &delta.removed {
-        words.push(t.index() as u64);
-    }
-    words.push(delta.edits.len() as u64);
-    for edit in &delta.edits {
-        words.push(edit.target.index() as u64);
-        words.push(edit.events.len() as u64);
-        for e in &edit.events {
-            words.push(e.initiator.index() as u64);
-            words.push(e.start);
-            words.push(u64::from(e.duration) << 1 | u64::from(e.critical));
-        }
-    }
-    match delta.threshold {
-        Some(theta) => {
-            words.push(1);
-            words.push(theta.to_bits());
-        }
-        None => words.push(0),
-    }
-    format!("{:016x}", fnv1a(&words, parent.as_bytes()))
-}
-
-/// The one response-body format for a both-direction design — used by
-/// the live `/synthesize` and delta paths and by the replay engine, so
-/// a replayed outcome can be diffed byte for byte against the journal.
-pub(crate) fn pair_body(app_name: &str, it_json: &str, ti_json: &str, address: &str) -> String {
-    format!(
-        "{{\"app\":\"{}\",\"it\":{it_json},\"ti\":{ti_json},\"artifact\":\"{address}\"}}",
-        stbus_core::json_escape(app_name),
-    )
-}
-
-/// Everything a successful both-direction solve replies and deposits.
-pub(crate) struct SolvedPair {
-    pub(crate) body: String,
-    pub(crate) address: String,
-    pub(crate) artifact: ResynthArtifact,
-}
-
-impl SolvedPair {
-    /// Deposits the artifact under its address, then replies the body —
-    /// in that order, so the address resolves by the time a client has
-    /// read it.
-    fn deposit_and_reply(self, shared: &Arc<Shared>, job: &Job) {
-        shared
-            .resynth_cache
-            .insert(self.address, Arc::new(self.artifact));
-        reply_outcome_line(shared, job, &self.body);
-    }
-}
-
-fn execute_synthesize(shared: &Arc<Shared>, request: &SynthesizeRequest, job: &Job) {
-    let jobs = effective_jobs(request.jobs);
-    let strategy = request.solver.synthesizer(jobs);
-    match &request.work {
-        WorkSpec::Trace(trace) => {
-            // Byte-identical to `stbus synthesize --trace … --json` —
-            // no artifact field either (trace mode has no application
-            // identity to address).
-            if let Err(e) = WindowStats::check_size(&[trace], request.params.window_size) {
-                reply_bad_request(shared, job, &e.to_string());
-                return;
-            }
-            let pre = Preprocessed::analyze(trace, &request.params);
-            match strategy.synthesize_cancellable(&pre, &request.params, &job.token) {
-                Ok(Some(outcome)) => {
-                    reply_outcome_line(shared, job, &outcome.to_json(&request.solver.to_string()));
-                }
-                Ok(None) => reply_cancelled(shared, job),
-                Err(e) => reply_solver_error(shared, job, &e),
-            }
-        }
-        WorkSpec::Workload(spec) => {
-            let front = match shared.front.front(spec, &request.params) {
-                Ok(front) => front,
-                Err(e) => {
-                    reply_bad_request(shared, job, &e.to_string());
-                    return;
-                }
-            };
-            match front.solve(request, &*strategy, &job.token) {
-                Ok(Some(solved)) => solved.deposit_and_reply(shared, job),
-                Ok(None) => reply_cancelled(shared, job),
-                Err(e) => reply_solver_error(shared, job, &e),
-            }
-        }
     }
 }
 
@@ -1406,12 +944,12 @@ fn restore_synthesize(shared: &Arc<Shared>, record: &Record) -> bool {
     let Some((warm_it, warm_ti)) = bindings_from_outcome(&record.outcome) else {
         return false;
     };
-    let Ok(front) = shared.front.front(spec, &request.params) else {
+    let Ok(front) = shared.routes.front.front(spec, &request.params) else {
         return false;
     };
-    shared.resynth_cache.insert(
-        artifact_address(front.digest, &request),
-        Arc::new(front.deposit(&request, warm_it, warm_ti)),
+    shared.routes.artifacts.insert(
+        front.address(&request),
+        Arc::new(front.resynth_artifact(&request, warm_it, warm_ti)),
     );
     true
 }
@@ -1423,7 +961,7 @@ fn restore_delta(shared: &Arc<Shared>, record: &Record) -> bool {
     let Ok(WorkRequest::Delta(request)) = wire::parse_synthesize_route(&record.spec) else {
         return false;
     };
-    let Some(stored) = shared.resynth_cache.get(&request.artifact) else {
+    let Some(stored) = shared.routes.artifacts.get(&request.artifact) else {
         return false;
     };
     let Some((warm_it, warm_ti)) = bindings_from_outcome(&record.outcome) else {
@@ -1435,7 +973,7 @@ fn restore_delta(shared: &Arc<Shared>, record: &Record) -> bool {
     let Ok(re) = stored.reanalyze(&request.delta) else {
         return false;
     };
-    shared.resynth_cache.insert(
+    shared.routes.artifacts.insert(
         address,
         Arc::new(stored.chained(&re, &request.delta, warm_it, warm_ti)),
     );
@@ -1443,7 +981,7 @@ fn restore_delta(shared: &Arc<Shared>, record: &Record) -> bool {
 }
 
 /// Extracts both directions' bindings from a recorded both-direction
-/// response body (the [`pair_body`] format): each direction contributes
+/// response body: each direction contributes
 /// its `assignment` array and `max_bus_overlap` — the warm starts a
 /// recovered artifact resumes from.
 fn bindings_from_outcome(outcome: &str) -> Option<(Binding, Binding)> {
@@ -1471,277 +1009,11 @@ pub(crate) fn outcome_artifact_address(outcome: &str) -> Option<String> {
     Some(value.get("artifact")?.as_str()?.to_string())
 }
 
-/// The delta hot path: resolve the artifact (404 on miss), patch the
-/// analysis in `O(touched × targets)`, warm-start phase 3 per direction,
-/// reply with a chained artifact address.
-fn execute_delta(shared: &Arc<Shared>, request: &DeltaRequest, job: &Job) {
-    let Some(stored) = shared.resynth_cache.get(&request.artifact) else {
-        shared.delta_miss.fetch_add(1, Ordering::Relaxed);
-        if shared.log_requests {
-            eprintln!(
-                "gw req={} tenant={} delta_miss artifact={}",
-                job.id, job.tenant, request.artifact
-            );
-        }
-        shared.journal_event(
-            RecordKind::Delta,
-            RecordStatus::ArtifactMiss,
-            &job.tenant,
-            &job.spec,
-            "",
-        );
-        let _ = job.reply.send(Reply::Done {
-            status: 404,
-            reason: "Not Found",
-            body: "{\"error\":\"unknown artifact (evicted or never issued); \
-                   re-request from scratch\"}\n"
-                .to_string(),
-        });
-        return;
-    };
-    shared.delta_reuse.fetch_add(1, Ordering::Relaxed);
-    shared.bump_tenant(&job.tenant, true);
-    if shared.log_requests {
-        eprintln!(
-            "gw req={} tenant={} delta_reuse artifact={}",
-            job.id, job.tenant, request.artifact
-        );
-    }
-
-    let strategy = stored.solver.synthesizer(effective_jobs(request.jobs));
-    let re = match stored.reanalyze(&request.delta) {
-        Ok(re) => re,
-        Err(e) => {
-            reply_bad_request(shared, job, &format!("delta: {e}"));
-            return;
-        }
-    };
-    match stored.solve_delta(&re, request, &*strategy, &job.token) {
-        Ok(Some(solved)) => solved.deposit_and_reply(shared, job),
-        Ok(None) => reply_cancelled(shared, job),
-        Err(e) => reply_solver_error(shared, job, &e),
-    }
-}
-
-fn reply_outcome_line(shared: &Arc<Shared>, job: &Job, line: &str) {
-    shared.served.fetch_add(1, Ordering::Relaxed);
-    shared.bump_tenant(&job.tenant, false);
-    shared.journal_event(
-        record_kind(&job.work),
-        RecordStatus::Ok,
-        &job.tenant,
-        &job.spec,
-        line,
-    );
-    let _ = job.reply.send(Reply::Done {
-        status: 200,
-        reason: "OK",
-        body: format!("{line}\n"),
-    });
-}
-
-/// A sweep's phase-2 state: the one-direction analysis of a trace-mode
-/// request, or the cached front half of a workload-mode one.
-enum SweepFront {
-    Trace(Box<Preprocessed>),
-    Workload(CachedAnalysis),
-}
-
-fn execute_sweep(shared: &Arc<Shared>, job: &Job) {
-    let WorkRequest::Sweep(request) = &job.work else {
-        unreachable!("routed as sweep")
-    };
-    let base = &request.base;
-    let jobs = effective_jobs(base.jobs);
-    let strategy = base.solver.synthesizer(jobs);
-    let solver = base.solver.to_string();
-    // Streaming look-ahead across sweep points mirrors the per-point
-    // probe width: `jobs == 1` degenerates to the old sequential loop.
-    let width = jobs.map_or(1, NonZeroUsize::get);
-
-    // One reply line per threshold:
-    //   trace mode:    {"threshold":θ,"outcome":{…}}
-    //   workload mode: {"threshold":θ,"it":{…},"ti":{…}}
-    // The window analysis runs once; each point re-thresholds in
-    // O(pairs), exactly as the sweep-resident pipeline does. Points run
-    // through the executor's streaming map: up to `jobs` thresholds
-    // evaluate concurrently while finished lines flush to the client in
-    // threshold order, so the response is byte-identical to the old
-    // sequential loop (which `jobs == 1` still is, exactly). A cancelled
-    // or budget-abandoned point ends the stream; the look-ahead points
-    // behind it observe the same token and wind down unconsumed.
-    //
-    // Phase 2 runs before the stream starts, so an analysis too large to
-    // allocate is still a plain `400`.
-    let front = match &base.work {
-        WorkSpec::Trace(trace) => WindowStats::check_size(&[trace], base.params.window_size)
-            .map(|()| SweepFront::Trace(Box::new(Preprocessed::analyze(trace, &base.params)))),
-        WorkSpec::Workload(spec) => shared
-            .front
-            .front(spec, &base.params)
-            .map(SweepFront::Workload),
-    };
-    let front = match front {
-        Ok(front) => front,
-        Err(e) => {
-            reply_bad_request(shared, job, &e.to_string());
-            return;
-        }
-    };
-    let _ = job.reply.send(Reply::StreamStart);
-    let mut completed = true;
-    // The journal's outcome for a completed sweep is the exact stream
-    // the client saw: every chunk line, concatenated — what `stbus
-    // replay` re-derives and diffs.
-    let mut transcript = String::new();
-    {
-        let completed = &mut completed;
-        let transcript = &mut transcript;
-        let mut emit = |theta: f64, point: Option<Result<String, String>>| {
-            if !*completed {
-                return;
-            }
-            match point {
-                Some(Ok(fields)) => {
-                    let line = format!("{{\"threshold\":{theta},{fields}}}\n");
-                    transcript.push_str(&line);
-                    let _ = job.reply.send(Reply::Chunk(line));
-                }
-                Some(Err(message)) => {
-                    let line = format!(
-                        "{{\"threshold\":{theta},\"error\":\"{}\"}}\n",
-                        stbus_core::json_escape(&message)
-                    );
-                    transcript.push_str(&line);
-                    let _ = job.reply.send(Reply::Chunk(line));
-                }
-                None => *completed = false,
-            }
-        };
-        match &front {
-            SweepFront::Trace(pre) => {
-                exec::map_streaming(
-                    &request.thresholds,
-                    width,
-                    |&theta| {
-                        if job.token.is_cancelled() {
-                            return None;
-                        }
-                        let params = base.params.clone().with_overlap_threshold(theta);
-                        let pre = pre.at_threshold(theta);
-                        match strategy.synthesize_cancellable(&pre, &params, &job.token) {
-                            Ok(Some(outcome)) => {
-                                Some(Ok(format!("\"outcome\":{}", outcome.to_json(&solver))))
-                            }
-                            Ok(None) => None,
-                            Err(e) => Some(Err(e.to_string())),
-                        }
-                    },
-                    |i, point| emit(request.thresholds[i], point),
-                );
-            }
-            SweepFront::Workload(front) => {
-                exec::map_streaming(
-                    &request.thresholds,
-                    width,
-                    |&theta| {
-                        if job.token.is_cancelled() {
-                            return None;
-                        }
-                        let params = base.params.clone().with_overlap_threshold(theta);
-                        match front
-                            .analyze(&params)
-                            .synthesize_cancellable(&*strategy, &job.token)
-                        {
-                            Ok(Some(designed)) => Some(Ok(format!(
-                                "\"it\":{},\"ti\":{}",
-                                designed.it.to_json(&solver),
-                                designed.ti.to_json(&solver),
-                            ))),
-                            Ok(None) => None,
-                            Err(e) => Some(Err(e.to_string())),
-                        }
-                    },
-                    |i, point| emit(request.thresholds[i], point),
-                );
-            }
-        }
-    }
-    if completed {
-        shared.served.fetch_add(1, Ordering::Relaxed);
-        shared.bump_tenant(&job.tenant, false);
-        shared.journal_event(
-            RecordKind::Sweep,
-            RecordStatus::Ok,
-            &job.tenant,
-            &job.spec,
-            &transcript,
-        );
-        let _ = job.reply.send(Reply::StreamEnd);
-    } else {
-        shared.cancelled.fetch_add(1, Ordering::Relaxed);
-        shared.journal_event(
-            RecordKind::Sweep,
-            RecordStatus::Cancelled,
-            &job.tenant,
-            &job.spec,
-            "",
-        );
-        // No StreamEnd: the relay already cancelled; dropping the sender
-        // (when `job` goes out of scope) closes the channel.
-    }
-}
-
-fn execute_suite(shared: &Arc<Shared>, request: &SuiteRequest, job: &Job) {
-    let jobs = effective_jobs(request.jobs);
-    let strategy = request.solver.synthesizer(jobs);
-    let solver = request.solver.to_string();
-    let specs = WorkloadSpec::paper_suite(request.seed);
-    let apps = stbus_traffic::workloads::paper_suite(request.seed);
-    let mut rows = Vec::with_capacity(apps.len());
-    for (spec, app) in specs.iter().zip(apps) {
-        if job.token.is_cancelled() {
-            reply_cancelled(shared, job);
-            return;
-        }
-        // Per-application parameters pinned to the paper's, exactly as
-        // in `stbus suite` — the rows must diff clean against the CLI.
-        let params = stbus_core::paper_suite_params(app.name());
-        let front = match shared.front.front_with(spec, &params, || Arc::new(app)) {
-            Ok(front) => front,
-            Err(e) => {
-                reply_bad_request(shared, job, &e.to_string());
-                return;
-            }
-        };
-        let analyzed = front.analyze(&params);
-        let designed = match analyzed.synthesize_cancellable(&*strategy, &job.token) {
-            Ok(Some(designed)) => designed,
-            Ok(None) => {
-                reply_cancelled(shared, job);
-                return;
-            }
-            Err(e) => {
-                reply_solver_error(shared, job, &e);
-                return;
-            }
-        };
-        match designed.report() {
-            Ok(report) => rows.push(report.paper_row_json(&solver)),
-            Err(e) => {
-                reply_solver_error(shared, job, &e);
-                return;
-            }
-        }
-    }
-    reply_outcome_line(shared, job, &format!("[{}]", rows.join(",")));
-}
-
 /// Renders the `/stats` document.
 fn stats_json(shared: &Shared) -> String {
-    let collect = shared.front.collect.stats();
-    let analysis = shared.front.analysis.stats();
-    let resynth = shared.resynth_cache.stats();
+    let collect = shared.routes.front.collect.stats();
+    let analysis = shared.routes.front.analysis.stats();
+    let resynth = shared.routes.artifacts.stats();
     let cache = |s: crate::cache::CacheStats| {
         format!(
             "{{\"hits\":{},\"misses\":{},\"inflight_waits\":{},\"entries\":{},\"capacity\":{}}}",

@@ -18,8 +18,8 @@
 //! Common knobs mirror the CLI flags one-for-one: `"window"` (u64 ≥ 1),
 //! `"threshold"` (finite, ≥ 0), `"maxtb"` (≥ 1), `"response_scale"`
 //! (finite, > 0), `"solver"` (`exact|heuristic|portfolio`) and `"jobs"`
-//! (≥ 1). `/sweep` adds `"thresholds"`: a non-empty array of valid
-//! thresholds, streamed one result line each. `/suite` takes only
+//! (1 to [`MAX_JOBS`]). `/sweep` adds `"thresholds"`: a non-empty array
+//! of valid thresholds, streamed one result line each. `/suite` takes only
 //! `"solver"`, `"jobs"` and `"seed"` — the per-application parameters
 //! are pinned to the paper's, exactly as in `stbus suite`.
 //!
@@ -302,9 +302,16 @@ fn parse_solver(obj: &Value) -> Result<SolverKind, String> {
     }
 }
 
+/// The largest `"jobs"` a request may ask for. A request's width grows
+/// the process-wide executor, whose threads never exit, so an unbounded
+/// value would let one body ask for a million OS threads.
+pub const MAX_JOBS: usize = 256;
+
 fn parse_jobs(obj: &Value) -> Result<Option<NonZeroUsize>, String> {
-    Ok(field_u64(obj, "jobs", 1)?
-        .map(|n| NonZeroUsize::new(n as usize).expect("validated at least 1")))
+    match field_u64(obj, "jobs", 1)? {
+        Some(n) if n > MAX_JOBS as u64 => Err(format!("`jobs` is capped at {MAX_JOBS}")),
+        n => Ok(n.map(|n| NonZeroUsize::new(n as usize).expect("validated at least 1"))),
+    }
 }
 
 /// Parses one `"events"` entry of an edit: `[initiator, start, duration]`
@@ -701,6 +708,26 @@ mod tests {
                 assert!(parse_suite(&suite).is_err(), "{suite}");
             }
         }
+    }
+
+    #[test]
+    fn jobs_is_capped_on_every_route() {
+        for jobs in [MAX_JOBS + 1, 1_000_000] {
+            for body in [
+                format!(r#"{{"suite":"mat2","jobs":{jobs}}}"#),
+                format!(r#"{{"artifact":"00ff","jobs":{jobs}}}"#),
+            ] {
+                let err = parse_synthesize_route(&body).expect_err(&body);
+                assert!(err.contains("capped at 256"), "{body}: {err}");
+            }
+            let sweep = format!(r#"{{"suite":"mat2","thresholds":[0.1],"jobs":{jobs}}}"#);
+            assert!(parse_sweep(&sweep).is_err(), "{sweep}");
+            let suite = format!(r#"{{"jobs":{jobs}}}"#);
+            assert!(parse_suite(&suite).is_err(), "{suite}");
+        }
+        assert!(parse_suite(&format!(r#"{{"jobs":{}}}"#, u64::MAX)).is_err());
+        let req = parse_suite(&format!(r#"{{"jobs":{MAX_JOBS}}}"#)).unwrap();
+        assert_eq!(req.jobs.map(NonZeroUsize::get), Some(MAX_JOBS));
     }
 
     #[test]

@@ -405,7 +405,7 @@ fn suite<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String> {
         ]);
     }
     if json {
-        println!("[{}]", rows.join(","));
+        println!("{}", stbus::core::paper_rows_json(&rows));
     } else {
         println!("{table}");
     }

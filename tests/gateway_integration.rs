@@ -1136,3 +1136,65 @@ fn stats_lookup_accounting_adds_up_after_a_mixed_run() {
     gateway.shutdown();
     gateway.join();
 }
+
+/// `/suite` answers the five paper rows byte for byte as `stbus suite
+/// --json` prints them, at the default exact solver and at the heuristic.
+#[test]
+fn suite_rows_are_byte_identical_to_the_cli() {
+    let gateway = spawn_gateway(2, 4);
+    let addr = gateway.addr();
+    for (body, cli_args) in [
+        ("{}", &["suite", "--json"][..]),
+        (
+            r#"{"solver":"heuristic"}"#,
+            &["suite", "--json", "--solver", "heuristic"][..],
+        ),
+    ] {
+        let cli = std::process::Command::new(env!("CARGO_BIN_EXE_stbus"))
+            .args(cli_args)
+            .output()
+            .expect("run stbus suite");
+        assert!(cli.status.success(), "{cli_args:?}: {cli:?}");
+        let cli = String::from_utf8(cli.stdout).expect("UTF-8 rows");
+        let (status, wire) = http_post(addr, "/suite", body, None);
+        assert_eq!(status, 200, "body: {wire}");
+        assert_eq!(wire, cli, "`/suite {body}` must match `stbus {cli_args:?}`");
+    }
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A `"jobs"` above the cap is refused at parse time on every work route,
+/// before anything is admitted or any executor thread is started, and
+/// the gateway keeps answering.
+#[test]
+fn jobs_above_the_cap_is_rejected_and_the_gateway_survives() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+    let jobs = stbus::gateway::wire::MAX_JOBS + 1;
+    for (path, body) in [
+        (
+            "/synthesize",
+            format!(r#"{{"suite":"mat2","jobs":{jobs}}}"#),
+        ),
+        (
+            "/synthesize",
+            format!(r#"{{"artifact":"{PINNED_MAT2_ADDRESS}","jobs":{jobs}}}"#),
+        ),
+        (
+            "/sweep",
+            format!(r#"{{"suite":"mat2","thresholds":[0.1],"jobs":{jobs}}}"#),
+        ),
+        ("/suite", r#"{"jobs":1000000}"#.to_string()),
+    ] {
+        let (status, reply) = http_post(addr, path, &body, None);
+        assert_eq!(status, 400, "{path} {body}: {reply}");
+        assert!(reply.contains("`jobs` is capped"), "{path} {body}: {reply}");
+    }
+    let stats = stats_of(addr);
+    let requests = stats.get("requests").expect("request counters");
+    assert_eq!(requests.get("served").and_then(Value::as_u64), Some(0));
+    assert_eq!(cache_counters(&stats, "collect_cache"), (0, 0, 0));
+    gateway.shutdown();
+    gateway.join();
+}

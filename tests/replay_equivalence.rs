@@ -5,8 +5,8 @@
 //! Three contracts:
 //!
 //! * **Corpus fidelity** — a history recorded by a live gateway
-//!   (synthesize, chained delta, sweep, a trace-mode request and an
-//!   artifact miss) replays clean through [`ReplayEngine`], with the
+//!   (synthesize, chained delta, sweep, suite, a trace-mode request and
+//!   an artifact miss) replays clean through [`ReplayEngine`], with the
 //!   unreplayable records skipped and the rest matched, at `jobs ∈ {1,
 //!   4}` — the executor width is result-invariant by the determinism
 //!   contract, so the reports must agree exactly.
@@ -115,6 +115,8 @@ fn record_history(dir: &std::path::Path) -> Vec<Record> {
         r#"{"suite":"mat1","seed":7,"thresholds":[0.1,0.3]}"#,
     );
     assert_eq!(status, 200, "body: {body}");
+    let (status, body) = http_post(addr, "/suite", r#"{"solver":"heuristic"}"#);
+    assert_eq!(status, 200, "body: {body}");
     // A trace-mode request journals only a digest (skipped on replay)…
     let (status, body) = http_post(
         addr,
@@ -135,7 +137,7 @@ fn record_history(dir: &std::path::Path) -> Vec<Record> {
 fn recorded_history_replays_clean_at_one_and_four_jobs() {
     let dir = scratch_dir("clean");
     let records = record_history(&dir);
-    assert_eq!(records.len(), 5, "records: {records:?}");
+    assert_eq!(records.len(), 6, "records: {records:?}");
 
     let mut summaries = Vec::new();
     for jobs in [1usize, 4] {
@@ -146,7 +148,10 @@ fn recorded_history_replays_clean_at_one_and_four_jobs() {
             "jobs={jobs} must replay clean: {report} — {:?}",
             report.results
         );
-        assert_eq!(report.matched, 3, "synthesize + delta + sweep re-derived");
+        assert_eq!(
+            report.matched, 4,
+            "synthesize + delta + sweep + suite re-derived"
+        );
         assert_eq!(report.skipped, 2, "trace digest + artifact miss skipped");
         summaries.push(
             report
@@ -167,10 +172,10 @@ fn recorded_history_replays_clean_at_one_and_four_jobs() {
 fn chain_parallel_replay_matches_sequential() {
     let dir = scratch_dir("chains");
     let records = record_history(&dir);
-    // The history holds two independent chains (synthesize→delta, sweep)
-    // plus two unreplayable records; `replay_journal` at jobs=4 replays
-    // the chains concurrently on private engines and must merge back to
-    // the sequential report, verdict for verdict.
+    // The history holds three independent chains (synthesize→delta,
+    // sweep, suite) plus two unreplayable records; `replay_journal` at
+    // jobs=4 replays the chains concurrently on private engines and must
+    // merge back to the sequential report, verdict for verdict.
     let sequential = stbus::gateway::replay::replay_journal(&records, None);
     let parallel = stbus::gateway::replay::replay_journal(&records, NonZeroUsize::new(4));
     assert!(
