@@ -86,9 +86,24 @@ pub struct Validation {
 
 impl Validation {
     /// Average latency over all packets (requests and responses).
+    ///
+    /// Summed as integers, not through [`Validation::combined_latency`],
+    /// which sorts every latency. Each partial sum of that `f64` mean is an
+    /// integer below 2⁵³, so both give the same bits.
     #[must_use]
     pub fn avg_latency(&self) -> f64 {
-        self.combined_latency().mean
+        let count = self.it_report.packets().len() + self.ti_report.packets().len();
+        if count == 0 {
+            return 0.0;
+        }
+        let sum: u64 = self
+            .it_report
+            .packets()
+            .iter()
+            .chain(self.ti_report.packets())
+            .map(stbus_sim::PacketRecord::latency)
+            .sum();
+        sum as f64 / count as f64
     }
 
     /// Maximum latency over all packets.
@@ -191,6 +206,25 @@ mod tests {
         assert_eq!(v.it_report.packets().len(), app.trace.len());
         assert_eq!(v.ti_report.packets().len(), app.trace.len());
         assert_eq!(v.combined_latency().count, 2 * app.trace.len());
+        assert_eq!(
+            v.avg_latency().to_bits(),
+            v.combined_latency().mean.to_bits()
+        );
+    }
+
+    #[test]
+    fn avg_latency_of_an_empty_run_is_zero() {
+        let trace = Trace::new(2, 2);
+        let v = validate(
+            &trace,
+            &CrossbarConfig::full(2),
+            &CrossbarConfig::full(2),
+            &DesignParams::default(),
+        );
+        assert_eq!(
+            v.avg_latency().to_bits(),
+            v.combined_latency().mean.to_bits()
+        );
     }
 
     #[test]
@@ -210,6 +244,12 @@ mod tests {
             &p,
         );
         assert!(shared.avg_latency() > full.avg_latency());
+        for v in [&full, &shared] {
+            assert_eq!(
+                v.avg_latency().to_bits(),
+                v.combined_latency().mean.to_bits()
+            );
+        }
         assert!(shared.max_latency() >= full.max_latency());
     }
 
