@@ -73,6 +73,19 @@ impl ConfigEval {
         params: &DesignParams,
     ) -> Self {
         let validation = validate(&app.trace, &it_config, &ti_config, params);
+        Self::from_validation(label, it_config, ti_config, validation)
+    }
+
+    /// Evaluates a configuration from a validation run made elsewhere:
+    /// phase 1's full-crossbar runs replay the same application on the
+    /// same configuration, so phase 4 reuses them instead of simulating
+    /// the full crossbar again.
+    pub(crate) fn from_validation(
+        label: &str,
+        it_config: CrossbarConfig,
+        ti_config: CrossbarConfig,
+        validation: Validation,
+    ) -> Self {
         let avg_latency = validation.avg_latency();
         let max_latency = validation.max_latency();
         Self {

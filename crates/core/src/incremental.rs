@@ -49,8 +49,9 @@ pub struct TouchedTargets {
 /// The request trace is patched exactly per [`WorkloadDelta::apply`]; the
 /// response trace follows the ideal-response model documented at module
 /// level, with `response_scale` taken from the original collection. The
-/// simulation reports are carried over unchanged (they describe the base
-/// collection and are not consumed by phases 2–3).
+/// simulation reports are carried over unchanged: they describe the base
+/// collection, which is what phase 4's `"full"` baseline reuses them as,
+/// since phase 4 replays the base application.
 ///
 /// # Errors
 ///

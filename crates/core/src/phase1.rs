@@ -40,9 +40,10 @@ pub struct CollectedTraffic {
     /// *initiators of the analysis* are the original targets, and vice
     /// versa.
     pub ti_trace: Trace,
-    /// The full-crossbar request-path simulation (baseline reference).
+    /// The full-crossbar request-path simulation. Phase 4 reuses it as
+    /// the `"full"` baseline's request run instead of simulating again.
     pub it_report: SimReport,
-    /// The full-crossbar response-path simulation.
+    /// The full-crossbar response-path simulation, reused the same way.
     pub ti_report: SimReport,
 }
 

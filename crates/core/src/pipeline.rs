@@ -63,6 +63,7 @@ use crate::params::Windowing;
 use crate::phase1::{collect, CollectedTraffic};
 use crate::phase2::Preprocessed;
 use crate::phase3::SynthesisOutcome;
+use crate::phase4::Validation;
 use crate::synthesizer::Synthesizer;
 use serde::{Deserialize, Serialize};
 use stbus_sim::{Arbitration, CrossbarConfig};
@@ -348,10 +349,11 @@ impl<'a> Collected<'a> {
     /// The request trace is patched exactly per [`WorkloadDelta::apply`];
     /// the response trace follows the ideal-response model documented in
     /// [`crate::incremental`]. The artifact keeps the *base* application
-    /// reference and simulation reports: phases 2–3 never read them, but
-    /// phase-4 validation of a delta-patched design re-simulates the base
-    /// application, so deltas that add or edit traffic should treat
-    /// validation results as describing the base workload.
+    /// reference and simulation reports. Phases 2–3 never read them.
+    /// Phase-4 validation of a delta-patched design re-simulates the base
+    /// application and reuses the base reports as its `"full"` baseline,
+    /// so deltas that add or edit traffic should treat validation results
+    /// as describing the base workload.
     ///
     /// # Errors
     ///
@@ -710,13 +712,21 @@ impl Synthesized<'_> {
             self.it.config.clone(),
             self.ti.config.clone(),
         )];
-        if baselines.full {
-            specs.push((
-                "full".to_string(),
+        // The full-crossbar baseline is phase 1's reference run: the same
+        // application on the same configuration under the same collection
+        // key. A delta-patched collection carries the base runs, and phase
+        // 4 replays the base application, so this holds there too.
+        let full = baselines.full.then(|| {
+            ConfigEval::from_validation(
+                "full",
                 CrossbarConfig::full(num_targets).with_arbitration(params.arbitration),
                 CrossbarConfig::full(num_initiators).with_arbitration(params.arbitration),
-            ));
-        }
+                Validation {
+                    it_report: traffic.it_report.clone(),
+                    ti_report: traffic.ti_report.clone(),
+                },
+            )
+        });
         if baselines.shared {
             specs.push((
                 "shared".to_string(),
@@ -754,7 +764,7 @@ impl Synthesized<'_> {
             ConfigEval::new(label, it.clone(), ti.clone(), app, params)
         });
         let designed = results.remove(0);
-        let evals = results;
+        let evals: Vec<ConfigEval> = full.into_iter().chain(results).collect();
 
         Ok(Evaluation {
             app_name: app.name().to_string(),
@@ -1259,6 +1269,44 @@ mod tests {
         for b in &rich.baselines {
             assert!(["full", "shared", "avg-based", "peak-based", "random-3"]
                 .contains(&b.label.as_str()));
+        }
+    }
+
+    #[test]
+    fn full_baseline_reuses_phase1_runs() {
+        // The "full" baseline is phase 1's reference run, not a new
+        // simulation: it must equal a fresh phase-4 replay on a fresh
+        // collection and on a delta-patched one, under the default and a
+        // non-default collection key.
+        let app = workloads::random::random(3);
+        for params in [
+            DesignParams::default(),
+            DesignParams::default()
+                .with_arbitration(Arbitration::FixedPriority)
+                .with_max_outstanding(2)
+                .with_response_scale(0.5),
+        ] {
+            let full_it =
+                CrossbarConfig::full(app.spec.num_targets()).with_arbitration(params.arbitration);
+            let full_ti = CrossbarConfig::full(app.spec.num_initiators())
+                .with_arbitration(params.arbitration);
+            let fresh = crate::phase4::validate(&app.trace, &full_it, &full_ti, &params);
+            let collected = Pipeline::collect(&app, &params);
+            let patched = collected.apply_delta(&edit_delta()).expect("valid delta");
+            for c in [&collected, &patched] {
+                let analyzed = c.analyze(&params);
+                let synthesized = analyzed.synthesize(&Heuristic::default()).expect("ok");
+                let eval = synthesized
+                    .validate(&BaselineSet::none().with_full())
+                    .expect("ok");
+                let full = eval.baseline("full").expect("full evaluated");
+                assert_eq!(full.it_config, full_it);
+                assert_eq!(full.ti_config, full_ti);
+                assert_eq!(full.validation.it_report, fresh.it_report);
+                assert_eq!(full.validation.ti_report, fresh.ti_report);
+                assert_eq!(full.avg_latency.to_bits(), fresh.avg_latency().to_bits());
+                assert_eq!(full.max_latency, fresh.max_latency());
+            }
         }
     }
 

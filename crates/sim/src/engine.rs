@@ -302,8 +302,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                     armed[id] = false;
                     next_issue[id] = extra + 1;
                     // With depth > 1 the next event may issue immediately.
-                    if let Some((ready, i, idx)) = arm(id, t, &next_issue, &completed, &mut armed)
-                    {
+                    if let Some((ready, i, idx)) = arm(id, t, &next_issue, &completed, &mut armed) {
                         heap.push(Reverse(event_key(ready, 1, i, idx)));
                     }
                     touched_buses.push(bus);
