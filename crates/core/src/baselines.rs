@@ -40,8 +40,21 @@ pub fn average_flow_design(
     trace: &Trace,
     params: &DesignParams,
 ) -> Result<BaselineDesign, NodeLimitExceeded> {
-    let horizon = trace.horizon().max(1);
-    let stats = WindowStats::analyze(trace, horizon);
+    average_flow_design_from(WindowStats::analyze(trace, trace.horizon().max(1)), params)
+}
+
+/// [`average_flow_design`] from the trace's whole-trace analysis
+/// ([`WindowStats::whole_trace`]), which phase 4 derives from phase 2's
+/// statistics instead of sweeping the trace again.
+///
+/// # Errors
+///
+/// Propagates [`NodeLimitExceeded`] from the exact solver.
+pub fn average_flow_design_from(
+    stats: WindowStats,
+    params: &DesignParams,
+) -> Result<BaselineDesign, NodeLimitExceeded> {
+    debug_assert_eq!(stats.num_windows(), 1, "one window spans the trace");
     let conflicts = ConflictGraph::none(stats.num_targets());
     // Prior average-flow approaches have neither overlap constraints nor a
     // serialisation cap: maxtb is part of the proposed methodology. The
@@ -66,7 +79,20 @@ pub fn peak_bandwidth_design(
     trace: &Trace,
     params: &DesignParams,
 ) -> Result<BaselineDesign, NodeLimitExceeded> {
-    let stats = WindowStats::analyze(trace, params.window_size);
+    peak_bandwidth_design_from(WindowStats::analyze(trace, params.window_size), params)
+}
+
+/// [`peak_bandwidth_design`] from the trace's uniform analysis at
+/// `params.window_size`, which phase 2 has already computed whenever it
+/// windows uniformly.
+///
+/// # Errors
+///
+/// Propagates [`NodeLimitExceeded`] from the exact solver.
+pub fn peak_bandwidth_design_from(
+    stats: WindowStats,
+    params: &DesignParams,
+) -> Result<BaselineDesign, NodeLimitExceeded> {
     // The contention-elimination relation is fixed at θ = 0 and the
     // artifact is dropped after one solve; no profile needed.
     let conflicts = ConflictGraph::from_stats(&stats, 0.0);

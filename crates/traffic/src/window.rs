@@ -525,6 +525,43 @@ impl WindowStats {
         }
     }
 
+    /// The whole-trace analysis: one window spanning the trace, as
+    /// prior average-flow designs see it. Derived from this analysis
+    /// without a second sweep: each target's demand is its row sum, each
+    /// pair's one-window overlap is the aggregate overlap, and the
+    /// critical busy sets and horizon carry over. Equal to
+    /// `WindowStats::analyze(trace, trace.horizon().max(1))` on the trace
+    /// this analysis was built from, under any window plan that starts at
+    /// cycle 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window plan starts after cycle 0 (its windows would
+    /// miss the traffic before the first boundary).
+    #[must_use]
+    pub fn whole_trace(&self) -> WindowStats {
+        assert_eq!(self.bounds[0], 0, "window plan must start at cycle 0");
+        let n = self.num_targets;
+        let window = self.horizon.max(1);
+        let mut wo = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+        for i in 0..n {
+            for j in (i + 1)..n {
+                wo.push(self.overlap.get(i, j));
+            }
+        }
+        WindowStats {
+            window_size: window,
+            bounds: vec![0, window],
+            num_windows: 1,
+            num_targets: n,
+            comm: (0..n).map(|t| self.total_comm(t)).collect(),
+            wo,
+            overlap: self.overlap.clone(),
+            critical_busy: self.critical_busy.clone(),
+            horizon: self.horizon,
+        }
+    }
+
     /// The analysis window size `WS` in cycles. For variable-size plans
     /// this is the *largest* window; use [`WindowStats::window_len`] for
     /// per-window sizes.
@@ -682,6 +719,15 @@ mod tests {
         tr.push(ev(1, 1, 50, 100)); // T1 busy [50,150)
         tr.push(ev(0, 2, 140, 20)); // T2 busy [140,160)
         tr
+    }
+
+    #[test]
+    fn whole_trace_of_an_empty_trace() {
+        let empty = Trace::new(1, 2);
+        assert_eq!(
+            WindowStats::analyze(&empty, 50).whole_trace(),
+            WindowStats::analyze(&empty, 1)
+        );
     }
 
     #[test]

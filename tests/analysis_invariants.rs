@@ -80,6 +80,16 @@ proptest! {
         }
     }
 
+    /// The whole-trace analysis derived from any window layout equals a
+    /// fresh one-window analysis over the trace's horizon.
+    #[test]
+    fn whole_trace_equals_one_window_analysis(tr in arb_trace(), ws in 1u64..500) {
+        let whole = WindowStats::analyze(&tr, tr.horizon().max(1));
+        prop_assert_eq!(&WindowStats::analyze(&tr, ws).whole_trace(), &whole);
+        let adaptive = WindowPlan::adaptive(&tr, ws, ws * 8, 0.1).analyze(&tr);
+        prop_assert_eq!(&adaptive.whole_trace(), &whole);
+    }
+
     /// Coarsening windows never increases the per-window bandwidth lower
     /// bound expressed as a fraction (merged demand / merged length is a
     /// mean of the parts).
