@@ -381,15 +381,16 @@ impl Routes {
             .solver
             .synthesizer(effective_jobs(jobs.or(request.jobs)));
         let solver = request.solver.to_string();
-        let specs = WorkloadSpec::paper_suite(request.seed);
-        let apps = stbus_traffic::workloads::paper_suite(request.seed);
-        let mut rows = Vec::with_capacity(apps.len());
-        for (spec, app) in specs.iter().zip(apps) {
+        let suite = WorkloadSpec::paper_suite(request.seed);
+        let mut rows = Vec::with_capacity(suite.len());
+        for (name, spec) in &suite {
             if cancel.is_cancelled() {
                 return Err(RouteError::Cancelled);
             }
-            let params = stbus_core::paper_suite_params(app.name());
-            let front = self.front.front_with(spec, &params, || Arc::new(app))?;
+            // The spec names its application, so a warm `/suite`
+            // generates nothing: only a collect miss builds one.
+            let params = stbus_core::paper_suite_params(name);
+            let front = self.front.front(spec, &params)?;
             let analyzed = front.analyze(&params);
             let designed = solved(analyzed.synthesize_cancellable(&*strategy, cancel))?;
             let report = designed
@@ -449,24 +450,12 @@ impl FrontCaches {
         spec: &WorkloadSpec,
         params: &DesignParams,
     ) -> Result<CachedAnalysis, AnalysisTooLarge> {
-        self.front_with(spec, params, || Arc::new(spec.build()))
-    }
-
-    /// [`FrontCaches::front`] with the caller supplying the application
-    /// on a collect miss — `/suite` already holds its applications.
-    /// `app` must build what `spec` builds.
-    fn front_with(
-        &self,
-        spec: &WorkloadSpec,
-        params: &DesignParams,
-        app: impl FnOnce() -> Arc<Application>,
-    ) -> Result<CachedAnalysis, AnalysisTooLarge> {
         let [generator, seed] = spec.fingerprint();
         let ck = CollectionKey::of(params).fingerprint();
         let entry = self
             .collect
             .get_or_compute([generator, seed, ck[0], ck[1], ck[2]], || {
-                let app = app();
+                let app = Arc::new(spec.build());
                 let traffic = Arc::clone(Pipeline::collect(&app, params).shared_traffic());
                 CollectEntry {
                     digest: app.content_digest(),

@@ -424,12 +424,14 @@ fn begin_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
     for job in shared.queue.close() {
         job.token.cancel();
         shared.cancelled.fetch_add(1, Ordering::Relaxed);
+        // No worker ran the job, so a delta resolved no artifact and
+        // counts no `delta_reuse`; the outcome tells recovery so.
         shared.journal_event(
             route::record_kind(&job.work),
             RecordStatus::Cancelled,
             &job.tenant,
             &job.spec,
-            "",
+            stbus_journal::DRAINED_OUTCOME,
         );
         let _ = job.reply.send(Reply::done(
             503,

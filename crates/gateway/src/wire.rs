@@ -103,13 +103,20 @@ impl WorkloadSpec {
     }
 
     /// The specs whose builds are [`workloads::paper_suite`]`(seed)`, in
-    /// its order — the way `/suite` reaches the spec-keyed caches.
+    /// its order, each with the name its application carries — the way
+    /// `/suite` reaches the spec-keyed caches and the paper parameters
+    /// without generating anything.
     #[must_use]
-    pub(crate) fn paper_suite(seed: u64) -> Vec<Self> {
-        (0..5)
-            .map(|index| Self {
-                kind: WorkloadKind::Suite(index),
-                seed: seed.wrapping_add(index as u64),
+    pub(crate) fn paper_suite(seed: u64) -> Vec<(&'static str, Self)> {
+        ["Mat1", "Mat2", "FFT", "QSort", "DES"]
+            .into_iter()
+            .enumerate()
+            .map(|(index, name)| {
+                let spec = Self {
+                    kind: WorkloadKind::Suite(index),
+                    seed: seed.wrapping_add(index as u64),
+                };
+                (name, spec)
             })
             .collect()
     }
@@ -559,8 +566,9 @@ mod tests {
         let specs = WorkloadSpec::paper_suite(7);
         let apps = workloads::paper_suite(7);
         assert_eq!(specs.len(), apps.len());
-        for (spec, app) in specs.iter().zip(&apps) {
+        for ((name, spec), app) in specs.iter().zip(&apps) {
             let built = spec.build();
+            assert_eq!(*name, app.name());
             assert_eq!(built.name(), app.name());
             assert_eq!(built.content_digest(), app.content_digest());
         }

@@ -12,6 +12,13 @@ use crate::record::{put_str, Cursor};
 use crate::record::{Record, RecordKind, RecordStatus};
 use std::collections::BTreeMap;
 
+/// The `outcome` a gateway journals for a job its shutdown drained from
+/// the queue before any worker ran it. Such a delta never resolved its
+/// artifact, so [`Counters::apply`] counts no `delta_reuse` for it, as
+/// the live server counts none. A job cancelled while running journals
+/// an empty outcome.
+pub const DRAINED_OUTCOME: &str = "drained at shutdown";
+
 /// Per-tenant counters (the `/stats` `by_tenant` breakdown).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TenantCounters {
@@ -46,8 +53,10 @@ impl Counters {
     ///
     /// * `Ok` → `served` (+ tenant `served`); a delta additionally
     ///   counted `delta_reuse` at its artifact hit.
-    /// * `Cancelled` → `cancelled`; a cancelled delta still counted its
-    ///   `delta_reuse` (the hit preceded the cancel).
+    /// * `Cancelled` → `cancelled`; a delta cancelled while running
+    ///   still counted its `delta_reuse` (the worker resolved its artifact
+    ///   first). A delta drained from the queue at shutdown
+    ///   ([`DRAINED_OUTCOME`]) never ran and counts none.
     /// * `Error` → nothing globally, except a delta's earlier reuse.
     /// * `RejectedQueue` → `rejected`; `RejectedQuota` → `rejected` +
     ///   tenant `rejected_quota`.
@@ -65,7 +74,7 @@ impl Counters {
             }
             RecordStatus::Cancelled => {
                 self.cancelled += 1;
-                if is_delta {
+                if is_delta && record.outcome != DRAINED_OUTCOME {
                     self.delta_reuse += 1;
                     self.tenant(&record.tenant).delta_reuse += 1;
                 }
@@ -173,6 +182,24 @@ mod tests {
         assert_eq!(c.tenants["b"].delta_reuse, 1);
         assert_eq!(c.tenants["b"].served, 0);
         assert_eq!(c.tenants["b"].rejected_quota, 1);
+    }
+
+    #[test]
+    fn a_delta_drained_at_shutdown_counts_no_reuse() {
+        let mut c = Counters::default();
+        let mut drained = rec(RecordKind::Delta, RecordStatus::Cancelled, "a");
+        drained.outcome = DRAINED_OUTCOME.to_string();
+        c.apply(&drained);
+        // A queued sweep drained the same way is only a cancellation.
+        let mut sweep = rec(RecordKind::Sweep, RecordStatus::Cancelled, "a");
+        sweep.outcome = DRAINED_OUTCOME.to_string();
+        c.apply(&sweep);
+        assert_eq!((c.cancelled, c.delta_reuse, c.served), (2, 0, 0));
+        assert!(!c.tenants.contains_key("a"));
+        // One cancelled while running had resolved its artifact.
+        c.apply(&rec(RecordKind::Delta, RecordStatus::Cancelled, "a"));
+        assert_eq!((c.cancelled, c.delta_reuse), (3, 1));
+        assert_eq!(c.tenants["a"].delta_reuse, 1);
     }
 
     #[test]

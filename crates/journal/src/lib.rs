@@ -81,7 +81,7 @@ mod replay;
 mod snapshot;
 mod store;
 
-pub use counters::{Counters, TenantCounters};
+pub use counters::{Counters, TenantCounters, DRAINED_OUTCOME};
 pub use frame::{crc32, scan_frames, write_frame, FrameScan};
 pub use record::{Record, RecordKind, RecordStatus};
 pub use replay::{replay_records, ReplayDiff, ReplayReport, ReplayResult};
