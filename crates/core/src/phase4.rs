@@ -88,8 +88,9 @@ impl Validation {
     /// Average latency over all packets (requests and responses).
     ///
     /// Summed as integers, not through [`Validation::combined_latency`],
-    /// which sorts every latency. Each partial sum of that `f64` mean is an
-    /// integer below 2⁵³, so both give the same bits.
+    /// which sorts every latency. While the total stays below 2⁵³ cycles,
+    /// every partial sum of that `f64` mean is an exact integer, so both
+    /// give the same bits.
     #[must_use]
     pub fn avg_latency(&self) -> f64 {
         let count = self.it_report.packets().len() + self.ti_report.packets().len();
