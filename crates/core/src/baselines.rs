@@ -79,20 +79,7 @@ pub fn peak_bandwidth_design(
     trace: &Trace,
     params: &DesignParams,
 ) -> Result<BaselineDesign, NodeLimitExceeded> {
-    peak_bandwidth_design_from(WindowStats::analyze(trace, params.window_size), params)
-}
-
-/// [`peak_bandwidth_design`] from the trace's uniform analysis at
-/// `params.window_size`, which phase 2 has already computed whenever it
-/// windows uniformly.
-///
-/// # Errors
-///
-/// Propagates [`NodeLimitExceeded`] from the exact solver.
-pub fn peak_bandwidth_design_from(
-    stats: WindowStats,
-    params: &DesignParams,
-) -> Result<BaselineDesign, NodeLimitExceeded> {
+    let stats = WindowStats::analyze(trace, params.window_size);
     // The contention-elimination relation is fixed at θ = 0 and the
     // artifact is dropped after one solve; no profile needed.
     let conflicts = ConflictGraph::from_stats(&stats, 0.0);

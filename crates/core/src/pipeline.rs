@@ -54,10 +54,7 @@
 //! }
 //! ```
 
-use crate::baselines::{
-    average_flow_design_from, peak_bandwidth_design, peak_bandwidth_design_from,
-    random_binding_design,
-};
+use crate::baselines::{average_flow_design_from, peak_bandwidth_design, random_binding_design};
 use crate::exec;
 use crate::flow::{ConfigEval, DesignReport, FlowError};
 use crate::incremental::patch_traffic;
@@ -747,14 +744,8 @@ impl Synthesized<'_> {
             specs.push(("avg-based".to_string(), avg_it, avg_ti));
         }
         if baselines.peak {
-            // Under uniform windows phase 2's statistics are exactly the
-            // analysis at `params.window_size`; adaptive plans re-analyse.
-            let peak = |pre: &Preprocessed, trace: &Trace| match params.windowing {
-                Windowing::Uniform => peak_bandwidth_design_from(pre.stats.clone(), params),
-                Windowing::Adaptive { .. } => peak_bandwidth_design(trace, params),
-            };
-            let peak_it = peak(&self.analyzed.pre_it, &traffic.it_trace)?.config;
-            let peak_ti = peak(&self.analyzed.pre_ti, &traffic.ti_trace)?.config;
+            let peak_it = peak_bandwidth_design(&traffic.it_trace, params)?.config;
+            let peak_ti = peak_bandwidth_design(&traffic.ti_trace, params)?.config;
             specs.push(("peak-based".to_string(), peak_it, peak_ti));
         }
         for &seed in &baselines.random_seeds {
@@ -941,7 +932,7 @@ impl Evaluation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baselines::{average_flow_design, BaselineDesign};
+    use crate::baselines::average_flow_design;
     use crate::synthesizer::{Exact, Heuristic};
     use stbus_traffic::workloads;
     use stbus_traffic::{InitiatorId, TargetEdit, TargetId, TraceEvent};
@@ -1286,14 +1277,11 @@ mod tests {
         }
     }
 
-    type TraceDesign =
-        fn(&Trace, &DesignParams) -> Result<BaselineDesign, stbus_milp::NodeLimitExceeded>;
-
     #[test]
-    fn avg_and_peak_baselines_match_their_trace_designs() {
-        // Phase 4 derives both baselines from phase 2's statistics (the
-        // peak one only under uniform windows); the designs must equal
-        // the standalone trace-level ones under either window plan.
+    fn avg_flow_baseline_matches_its_trace_design() {
+        // Phase 4 derives the avg-flow baseline from phase 2's
+        // statistics; the design must equal the standalone trace-level
+        // one under either window plan.
         let app = workloads::random::random(3);
         for params in [
             DesignParams::default(),
@@ -1303,22 +1291,14 @@ mod tests {
             let analyzed = collected.analyze(&params);
             let synthesized = analyzed.synthesize(&Heuristic::default()).expect("ok");
             let eval = synthesized
-                .validate(&BaselineSet::none().with_avg_flow().with_peak())
+                .validate(&BaselineSet::none().with_avg_flow())
                 .expect("ok");
             let traffic = collected.traffic();
-            let design = |f: TraceDesign| {
-                let it = f(&traffic.it_trace, &params).expect("ok");
-                let ti = f(&traffic.ti_trace, &params).expect("ok");
-                (it.config, ti.config)
-            };
-            for (label, (it, ti)) in [
-                ("avg-based", design(average_flow_design)),
-                ("peak-based", design(peak_bandwidth_design)),
-            ] {
-                let b = eval.baseline(label).expect("evaluated");
-                assert_eq!(b.it_config, it, "{label} it");
-                assert_eq!(b.ti_config, ti, "{label} ti");
-            }
+            let it = average_flow_design(&traffic.it_trace, &params).expect("ok");
+            let ti = average_flow_design(&traffic.ti_trace, &params).expect("ok");
+            let b = eval.baseline("avg-based").expect("evaluated");
+            assert_eq!(b.it_config, it.config);
+            assert_eq!(b.ti_config, ti.config);
         }
     }
 
