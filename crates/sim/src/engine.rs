@@ -185,31 +185,15 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
     let num_initiators = trace.num_initiators();
     let num_buses = config.num_buses();
     let depth = options.max_outstanding;
-    let events = trace.events();
 
-    // Per-initiator in-order issue queues as index lists into the trace,
-    // packed back to back: initiator `i`'s queue is
-    // `order[first[i]..first[i + 1]]`, in trace order, stable-sorted by
-    // start cycle (a linear pass when the trace is already sorted).
-    let mut first = vec![0usize; num_initiators + 1];
-    for e in events {
-        first[e.initiator.index() + 1] += 1;
+    // Per-initiator in-order event queues.
+    let mut queues: Vec<Vec<TraceEvent>> = vec![Vec::new(); num_initiators];
+    for e in trace.iter() {
+        queues[e.initiator.index()].push(*e);
     }
-    for i in 0..num_initiators {
-        first[i + 1] += first[i];
+    for q in &mut queues {
+        q.sort_by_key(|e| e.start);
     }
-    let mut order = vec![0usize; events.len()];
-    let mut fill = first[..num_initiators].to_vec();
-    for (k, e) in events.iter().enumerate() {
-        let i = e.initiator.index();
-        order[fill[i]] = k;
-        fill[i] += 1;
-    }
-    for i in 0..num_initiators {
-        order[first[i]..first[i + 1]].sort_by_key(|&k| events[k].start);
-    }
-    let event = |i: usize, idx: usize| &events[order[first[i] + idx]];
-
     // Issue bookkeeping per initiator.
     let mut next_issue = vec![0usize; num_initiators]; // next event to arm
     let mut completed = vec![0usize; num_initiators]; // finished transactions
@@ -222,26 +206,22 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
         .map(|_| Arbiter::new(config.arbitration(), num_initiators))
         .collect();
 
-    // Event heap of packed `(time, kind, id, extra)` keys (see
-    // [`event_key`]); kind 0 = bus `id` became free (extra = event idx
-    // completing, owner in `completing_owner`), kind 1 = initiator `id`'s
-    // event `extra` ready.
-    assert!(
-        num_initiators.max(num_buses) < 1 << 31 && events.len() < 1 << 32,
-        "trace too large for the simulator's event keys"
-    );
-    let mut heap: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
+    // Event heap: Reverse((time, kind, id, extra));
+    // kind 0 = bus `id` became free (extra = event idx completing, owner in
+    // `completing_owner`), kind 1 = initiator `id`'s event `extra` ready.
+    let mut heap: BinaryHeap<Reverse<(u64, u8, usize, usize)>> = BinaryHeap::new();
 
     // Arms the next event of initiator `i` if the issue window allows.
     // Returns the Ready entry to push, if any.
     let arm = |i: usize,
                now: u64,
+               queues: &[Vec<TraceEvent>],
                next_issue: &[usize],
                completed: &[usize],
                armed: &mut [bool]|
      -> Option<(u64, usize, usize)> {
         let idx = next_issue[i];
-        if armed[i] || first[i] + idx >= first[i + 1] {
+        if armed[i] || idx >= queues[i].len() {
             return None;
         }
         // Event idx may issue once at most depth-1 earlier ones are in
@@ -250,13 +230,13 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
             return None;
         }
         armed[i] = true;
-        let ready = event(i, idx).start.max(now);
+        let ready = queues[i][idx].start.max(now);
         Some((ready, i, idx))
     };
 
     for i in 0..num_initiators {
-        if let Some((ready, i, idx)) = arm(i, 0, &next_issue, &completed, &mut armed) {
-            heap.push(Reverse(event_key(ready, 1, i, idx)));
+        if let Some((ready, i, idx)) = arm(i, 0, &queues, &next_issue, &completed, &mut armed) {
+            heap.push(Reverse((ready, 1, i, idx)));
         }
     }
 
@@ -270,13 +250,11 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
     let mut touched_buses: Vec<usize> = Vec::new();
     let mut candidates: Vec<usize> = Vec::new();
 
-    while let Some(&Reverse(head)) = heap.peek() {
-        let t = (head >> 64) as u64;
+    while let Some(&Reverse((t, _, _, _))) = heap.peek() {
         // Drain every event at time t before granting, so simultaneous
         // arrivals are arbitrated together.
         touched_buses.clear();
-        while let Some(&Reverse(key)) = heap.peek() {
-            let (tt, kind, id, extra) = split_key(key);
+        while let Some(&Reverse((tt, kind, id, extra))) = heap.peek() {
             if tt != t {
                 break;
             }
@@ -289,21 +267,24 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                     if owner != usize::MAX {
                         completed[owner] += 1;
                         if let Some((ready, i, idx)) =
-                            arm(owner, t, &next_issue, &completed, &mut armed)
+                            arm(owner, t, &queues, &next_issue, &completed, &mut armed)
                         {
-                            heap.push(Reverse(event_key(ready, 1, i, idx)));
+                            heap.push(Reverse((ready, 1, i, idx)));
                         }
                     }
                     touched_buses.push(id);
                 }
                 _ => {
-                    let bus = config.bus_of(event(id, extra).target.index());
+                    let e = queues[id][extra];
+                    let bus = config.bus_of(e.target.index());
                     pending[bus].push((id, extra, t));
                     armed[id] = false;
                     next_issue[id] = extra + 1;
                     // With depth > 1 the next event may issue immediately.
-                    if let Some((ready, i, idx)) = arm(id, t, &next_issue, &completed, &mut armed) {
-                        heap.push(Reverse(event_key(ready, 1, i, idx)));
+                    if let Some((ready, i, idx)) =
+                        arm(id, t, &queues, &next_issue, &completed, &mut armed)
+                    {
+                        heap.push(Reverse((ready, 1, i, idx)));
                     }
                     touched_buses.push(bus);
                 }
@@ -331,7 +312,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                     .map(|(p, _)| p)
                     .expect("winner pending");
                 let (_, event_idx, ready_time) = pending[k].remove(pos);
-                let e = event(winner, event_idx);
+                let e = queues[winner][event_idx];
                 // Frequency/data-width adapters stretch the bus occupancy
                 // of transactions to slow or narrow targets.
                 let occupancy =
@@ -351,7 +332,7 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
                 busy_until[k] = complete;
                 completing_owner[k] = winner;
                 horizon = horizon.max(complete);
-                heap.push(Reverse(event_key(complete, 0, k, event_idx)));
+                heap.push(Reverse((complete, 0, k, event_idx)));
             }
         }
     }
@@ -363,25 +344,6 @@ pub fn simulate_with(trace: &Trace, config: &CrossbarConfig, options: &SimOption
         horizon,
         num_buses,
     }
-}
-
-/// Packs a heap entry `(time, kind, id, extra)` into one `u128` whose
-/// integer order is the tuple's lexicographic order: time in the high 64
-/// bits, then the 1-bit kind, the 31-bit id and the 32-bit extra. One
-/// wide compare replaces a four-field tuple compare on every heap step.
-fn event_key(time: u64, kind: u8, id: usize, extra: usize) -> u128 {
-    (u128::from(time) << 64) | (u128::from(kind) << 63) | ((id as u128) << 32) | extra as u128
-}
-
-/// Unpacks an [`event_key`].
-fn split_key(key: u128) -> (u64, u8, usize, usize) {
-    let low = key as u64;
-    (
-        (key >> 64) as u64,
-        (low >> 63) as u8,
-        ((low >> 32) & 0x7FFF_FFFF) as usize,
-        (low & 0xFFFF_FFFF) as usize,
-    )
 }
 
 #[cfg(test)]

@@ -1,8 +1,7 @@
-//! The straightforward event loop the simulator engine started from,
-//! kept as a test-only oracle: per-initiator copied and re-sorted event
-//! queues, a fresh candidate list per grant and `Vec::remove` on the
-//! pending queues. `sim_invariants` checks the optimised engine against
-//! it packet for packet.
+//! The event loop the simulator engine started from, kept as a
+//! test-only oracle: it allocates a fresh touched-bus list per time step
+//! and a fresh candidate list per grant, where the engine reuses both.
+//! `sim_invariants` checks the engine against it packet for packet.
 
 use stbus::sim::arbiter::Arbiter;
 use stbus::sim::{CrossbarConfig, PacketRecord, SimOptions};
