@@ -108,7 +108,7 @@ impl WorkloadSpec {
     /// without generating anything.
     #[must_use]
     pub(crate) fn paper_suite(seed: u64) -> Vec<(&'static str, Self)> {
-        ["Mat1", "Mat2", "FFT", "QSort", "DES"]
+        workloads::PAPER_SUITE_NAMES
             .into_iter()
             .enumerate()
             .map(|(index, name)| {

@@ -88,11 +88,12 @@ impl Application {
     }
 }
 
+/// The names the five paper suites' applications carry, in
+/// [`paper_suite`] order (the paper's Table 2 order).
+pub const PAPER_SUITE_NAMES: [&str; 5] = ["Mat1", "Mat2", "FFT", "QSort", "DES"];
+
 /// All five paper benchmark suites, generated with their default
-/// parameters from one base seed.
-///
-/// Returns `(name, application)` pairs in the paper's Table 2 order:
-/// Mat1, Mat2, FFT, QSort, DES.
+/// parameters from one base seed, named as in [`PAPER_SUITE_NAMES`].
 #[must_use]
 pub fn paper_suite(seed: u64) -> Vec<Application> {
     vec![
