@@ -30,6 +30,7 @@
 
 use crate::phase1::CollectedTraffic;
 use stbus_traffic::{DeltaError, Trace, WorkloadDelta};
+use std::sync::Arc;
 
 /// Per-direction lists of targets whose analysis rows a delta
 /// invalidates, sorted and deduplicated — the `touched` arguments of
@@ -110,8 +111,8 @@ pub fn patch_traffic(
         CollectedTraffic {
             it_trace,
             ti_trace,
-            it_report: base.it_report.clone(),
-            ti_report: base.ti_report.clone(),
+            it_report: Arc::clone(&base.it_report),
+            ti_report: Arc::clone(&base.ti_report),
         },
         TouchedTargets { it, ti },
     ))
@@ -135,6 +136,18 @@ mod tests {
         assert_eq!(patched.it_trace, base.it_trace);
         assert_eq!(patched.ti_trace, base.ti_trace);
         assert!(touched.it.is_empty() && touched.ti.is_empty());
+    }
+
+    #[test]
+    fn patched_collection_shares_the_base_reports() {
+        let base = base();
+        let delta = WorkloadDelta {
+            removed: vec![TargetId::new(1)],
+            ..WorkloadDelta::default()
+        };
+        let (patched, _) = patch_traffic(&base, &delta, 1.0).unwrap();
+        assert!(Arc::ptr_eq(&patched.it_report, &base.it_report));
+        assert!(Arc::ptr_eq(&patched.ti_report, &base.ti_report));
     }
 
     #[test]

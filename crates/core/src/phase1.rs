@@ -10,6 +10,7 @@ use crate::params::DesignParams;
 use stbus_sim::{simulate_with, CrossbarConfig, SimReport};
 use stbus_traffic::{workloads::Application, Trace};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-wide count of [`collect`] invocations.
 ///
@@ -41,10 +42,11 @@ pub struct CollectedTraffic {
     /// versa.
     pub ti_trace: Trace,
     /// The full-crossbar request-path simulation. Phase 4 reuses it as
-    /// the `"full"` baseline's request run instead of simulating again.
-    pub it_report: SimReport,
+    /// the `"full"` baseline's request run instead of simulating again,
+    /// and a delta-patched collection shares it with its base.
+    pub it_report: Arc<SimReport>,
     /// The full-crossbar response-path simulation, reused the same way.
-    pub ti_report: SimReport,
+    pub ti_report: Arc<SimReport>,
 }
 
 /// Runs the application on full crossbars and collects both traces.
@@ -68,8 +70,8 @@ pub fn collect(app: &Application, params: &DesignParams) -> CollectedTraffic {
     CollectedTraffic {
         it_trace,
         ti_trace,
-        it_report,
-        ti_report,
+        it_report: Arc::new(it_report),
+        ti_report: Arc::new(ti_report),
     }
 }
 

@@ -66,7 +66,7 @@ use crate::phase3::SynthesisOutcome;
 use crate::phase4::Validation;
 use crate::synthesizer::Synthesizer;
 use serde::{Deserialize, Serialize};
-use stbus_sim::{Arbitration, CrossbarConfig};
+use stbus_sim::{Arbitration, CrossbarConfig, SimReport};
 use stbus_traffic::workloads::Application;
 use stbus_traffic::{DeltaError, OverlapProfile, Trace, WindowStats, WorkloadDelta};
 use std::sync::Arc;
@@ -722,8 +722,8 @@ impl Synthesized<'_> {
                 CrossbarConfig::full(num_targets).with_arbitration(params.arbitration),
                 CrossbarConfig::full(num_initiators).with_arbitration(params.arbitration),
                 Validation {
-                    it_report: traffic.it_report.clone(),
-                    ti_report: traffic.ti_report.clone(),
+                    it_report: SimReport::clone(&traffic.it_report),
+                    ti_report: SimReport::clone(&traffic.ti_report),
                 },
             )
         });

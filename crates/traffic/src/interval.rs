@@ -122,6 +122,20 @@ impl IntervalSet {
         if iv.is_empty() {
             return;
         }
+        // Start-ordered appends, as a sorted trace produces them, can only
+        // meet the last interval.
+        if let Some(last) = self
+            .intervals
+            .last_mut()
+            .filter(|last| iv.start >= last.start)
+        {
+            if iv.start <= last.end {
+                last.end = last.end.max(iv.end);
+            } else {
+                self.intervals.push(iv);
+            }
+            return;
+        }
         // Find insertion point and merge neighbours.
         let pos = self.intervals.partition_point(|x| x.end < iv.start);
         let mut merged = iv;
@@ -317,16 +331,23 @@ mod tests {
     }
 
     proptest! {
-        /// Incremental insert and bulk construction agree.
+        /// Incremental insert and bulk construction agree, in any order
+        /// and in the start order that takes the append path.
         #[test]
         fn insert_matches_bulk(raw in arb_intervals()) {
-            let ivs: Vec<Interval> = raw.iter().map(|&(s, e)| Interval::new(s, e)).collect();
+            let mut ivs: Vec<Interval> = raw.iter().map(|&(s, e)| Interval::new(s, e)).collect();
             let bulk = IntervalSet::from_intervals(ivs.clone());
             let mut inc = IntervalSet::new();
-            for iv in ivs {
+            for &iv in &ivs {
                 inc.insert(iv);
             }
-            prop_assert_eq!(bulk, inc);
+            prop_assert_eq!(&bulk, &inc);
+            ivs.sort_by_key(|iv| iv.start);
+            let mut appended = IntervalSet::new();
+            for iv in ivs {
+                appended.insert(iv);
+            }
+            prop_assert_eq!(bulk, appended);
         }
 
         /// Total length equals a brute-force cycle count.

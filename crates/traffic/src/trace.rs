@@ -116,6 +116,7 @@ impl Trace {
     ///
     /// Panics if the event references an out-of-range initiator or target,
     /// or has zero duration — both indicate a bug in the producer.
+    #[inline]
     pub fn push(&mut self, event: TraceEvent) {
         assert!(
             event.initiator.index() < self.num_initiators,

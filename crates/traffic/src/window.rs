@@ -9,16 +9,21 @@
 //! `om(i,j) = Σ_m wo(i,j,m)` (Eq. 1), the objective coefficients of the
 //! optimal-binding MILP.
 //!
-//! The pairwise overlaps are computed by a single **sweep-line pass** over
-//! the sorted busy-interval endpoints: between consecutive endpoints the
-//! set of active targets is constant, so every active pair accrues the
-//! elementary segment's length — no nested per-pair interval
-//! intersections.
+//! All three tables come from one **merge sweep** over the per-target
+//! busy sets. Each set is already sorted and disjoint, so a heap holding
+//! one entry per target yields every start and end in time order without
+//! sorting the endpoints, and the window index only walks forward. A
+//! pair is charged once per activation end, not once per elementary
+//! segment: when one target's busy interval ends, it adds its overlap with
+//! each target still active, and at every window boundary the active
+//! intervals are closed and reopened so each charge lands in one window.
 
 use crate::ids::TargetId;
 use crate::interval::{Interval, IntervalSet};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::error::Error;
 use std::fmt;
 
@@ -245,11 +250,13 @@ impl WindowStats {
     ///
     /// # Panics
     ///
-    /// Panics if `bounds` has fewer than two entries, is not strictly
-    /// increasing, or does not cover the trace horizon.
+    /// Panics if `bounds` has fewer than two entries, does not start at
+    /// cycle 0, is not strictly increasing, or does not cover the trace
+    /// horizon.
     #[must_use]
     pub fn analyze_with_bounds(trace: &Trace, bounds: Vec<u64>) -> Self {
         assert!(bounds.len() >= 2, "need at least one window");
+        assert_eq!(bounds[0], 0, "window plan must start at cycle 0");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "window boundaries must be strictly increasing"
@@ -280,96 +287,7 @@ impl WindowStats {
             }
         }
 
-        // Splits an interval across the window plan, accumulating into a
-        // row of a `num_windows`-strided table.
-        let spread = |iv: &Interval, row: &mut [u64]| {
-            let mut m = bounds.partition_point(|&b| b <= iv.start).saturating_sub(1);
-            while m < num_windows && bounds[m] < iv.end {
-                row[m] += iv.clip(bounds[m], bounds[m + 1]).len();
-                m += 1;
-            }
-        };
-
-        // comm(i, m): busy cycles of target i within window m.
-        let mut comm = vec![0u64; n * num_windows];
-        for (t, set) in busy.iter().enumerate() {
-            let row = &mut comm[t * num_windows..(t + 1) * num_windows];
-            for iv in set.intervals() {
-                spread(iv, row);
-            }
-        }
-
-        // wo(i, j, m): per-window pairwise overlap via one sweep-line pass
-        // over the sorted busy-interval endpoints. Between two consecutive
-        // endpoints the active-target set is constant, so every active pair
-        // accrues exactly the elementary segment's length; the segment is
-        // cut at window boundaries so each piece lies in a single window.
-        // This replaces the former nested per-pair interval intersection
-        // (O(n² · intervals)) with work proportional to the endpoint count
-        // plus the pairwise overlap that actually exists.
-        let npairs = n * n.saturating_sub(1) / 2;
-        let mut wo = vec![0u64; npairs * num_windows];
-        let mut overlap = OverlapMatrix::zeros(n);
-        {
-            // Endpoint events: (time, target, is_start). Per-target busy
-            // sets are already disjoint and coalesced, so a target never
-            // ends and restarts at the same cycle.
-            let mut events: Vec<(u64, usize, bool)> =
-                Vec::with_capacity(busy.iter().map(|s| 2 * s.intervals().len()).sum());
-            for (t, set) in busy.iter().enumerate() {
-                for iv in set.intervals() {
-                    events.push((iv.start, t, true));
-                    events.push((iv.end, t, false));
-                }
-            }
-            events.sort_unstable();
-
-            let mut members: Vec<usize> = Vec::new(); // sorted active targets
-            let mut pieces: Vec<(usize, u64)> = Vec::new(); // (window, cycles)
-            let mut prev = 0u64;
-            let mut e = 0usize;
-            while e < events.len() {
-                let now = events[e].0;
-                if now > prev && members.len() >= 2 {
-                    // Window pieces of the segment [prev, now), mirroring
-                    // the `spread` clipping rules.
-                    pieces.clear();
-                    let seg = Interval::new(prev, now);
-                    let mut m = bounds.partition_point(|&b| b <= prev).saturating_sub(1);
-                    while m < num_windows && bounds[m] < now {
-                        let len = seg.clip(bounds[m], bounds[m + 1]).len();
-                        if len > 0 {
-                            pieces.push((m, len));
-                        }
-                        m += 1;
-                    }
-                    let full = now - prev;
-                    for (a, &i) in members.iter().enumerate() {
-                        let base = i * n - i * (i + 1) / 2;
-                        for &j in &members[a + 1..] {
-                            let row = &mut wo[(base + (j - i - 1)) * num_windows..][..num_windows];
-                            for &(m, len) in &pieces {
-                                row[m] += len;
-                            }
-                            overlap.add(i, j, full);
-                        }
-                    }
-                }
-                while e < events.len() && events[e].0 == now {
-                    let (_, t, is_start) = events[e];
-                    match members.binary_search(&t) {
-                        Err(pos) if is_start => members.insert(pos, t),
-                        Ok(pos) if !is_start => {
-                            members.remove(pos);
-                        }
-                        _ => unreachable!("busy sets are disjoint per target"),
-                    }
-                    e += 1;
-                }
-                prev = now;
-            }
-        }
-
+        let Sweep { comm, wo, om, .. } = Sweep::run(&busy, &bounds);
         Self {
             window_size,
             bounds,
@@ -377,7 +295,7 @@ impl WindowStats {
             num_targets: n,
             comm,
             wo,
-            overlap,
+            overlap: OverlapMatrix { n, upper: om },
             critical_busy,
             horizon,
         }
@@ -531,16 +449,10 @@ impl WindowStats {
     /// pair's one-window overlap is the aggregate overlap, and the
     /// critical busy sets and horizon carry over. Equal to
     /// `WindowStats::analyze(trace, trace.horizon().max(1))` on the trace
-    /// this analysis was built from, under any window plan that starts at
-    /// cycle 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window plan starts after cycle 0 (its windows would
-    /// miss the traffic before the first boundary).
+    /// this analysis was built from, under any window plan (every plan
+    /// starts at cycle 0, so its windows hold all of the traffic).
     #[must_use]
     pub fn whole_trace(&self) -> WindowStats {
-        assert_eq!(self.bounds[0], 0, "window plan must start at cycle 0");
         let n = self.num_targets;
         let window = self.horizon.max(1);
         let mut wo = Vec::with_capacity(n * n.saturating_sub(1) / 2);
@@ -699,6 +611,160 @@ impl WindowStats {
         let mut ids: Vec<usize> = (0..self.num_targets).collect();
         ids.sort_by_key(|&t| std::cmp::Reverse(self.total_comm(t)));
         ids.into_iter().map(TargetId::new).collect()
+    }
+}
+
+/// Marks an idle target in [`Sweep::slot`].
+const IDLE: usize = usize::MAX;
+
+/// The merge sweep behind [`WindowStats::analyze_with_bounds`]: one pass
+/// over every target's busy intervals in time order, with the window
+/// index walking forward.
+///
+/// An *activation* is one busy interval of one target, its start clipped
+/// to the current window's first cycle. When target `i`'s activation ends
+/// at `e`, each still-active `j` has overlapped it for
+/// `e − max(s_i, s_j)` cycles of the window, so every pair is charged
+/// once, by whichever activation ends first, and `comm(i, m)` gains
+/// `e − s_i`. At a window boundary every activation is closed the same
+/// way and reopened at the boundary. A window's pair overlaps gather in a
+/// dense scratch row that moves into `wo` and `om` when the window ends.
+struct Sweep<'a> {
+    bounds: &'a [u64],
+    n: usize,
+    num_windows: usize,
+    /// The current window.
+    m: usize,
+    /// The active targets in no order; `slot[t]` is `t`'s position in
+    /// it, or [`IDLE`].
+    active: Vec<usize>,
+    slot: Vec<usize>,
+    /// Each active target's activation start, clipped to window `m`.
+    since: Vec<u64>,
+    /// Each pair's overlap within window `m`, and the pairs it charged.
+    row: Vec<u64>,
+    charged: Vec<usize>,
+    comm: Vec<u64>,
+    wo: Vec<u64>,
+    om: Vec<u64>,
+}
+
+impl<'a> Sweep<'a> {
+    /// Sweeps the disjoint, sorted busy sets `busy` over the window plan
+    /// `bounds` (which starts at 0 and covers every busy cycle).
+    fn run(busy: &[IntervalSet], bounds: &'a [u64]) -> Self {
+        let n = busy.len();
+        let num_windows = bounds.len() - 1;
+        let npairs = n * n.saturating_sub(1) / 2;
+        let mut sweep = Sweep {
+            bounds,
+            n,
+            num_windows,
+            m: 0,
+            active: Vec::with_capacity(n),
+            slot: vec![IDLE; n],
+            since: vec![0; n],
+            row: vec![0; npairs],
+            charged: Vec::new(),
+            comm: vec![0; n * num_windows],
+            wo: vec![0; npairs * num_windows],
+            om: vec![0; npairs],
+        };
+        // A k-way merge of the busy lists: one entry per target with
+        // intervals left, keyed by its next start while idle and by its
+        // current end while active.
+        let mut next = vec![0usize; n];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = busy
+            .iter()
+            .enumerate()
+            .filter_map(|(t, set)| set.intervals().first().map(|iv| Reverse((iv.start, t))))
+            .collect();
+        while let Some(mut top) = heap.peek_mut() {
+            let Reverse((time, t)) = *top;
+            let intervals = busy[t].intervals();
+            if sweep.slot[t] == IDLE {
+                sweep.start(t, time);
+                *top = Reverse((intervals[next[t]].end, t));
+            } else {
+                sweep.end(t, time);
+                next[t] += 1;
+                match intervals.get(next[t]) {
+                    Some(iv) => *top = Reverse((iv.start, t)),
+                    None => {
+                        PeekMut::pop(top);
+                    }
+                }
+            }
+        }
+        sweep.flush();
+        sweep
+    }
+
+    fn start(&mut self, t: usize, time: u64) {
+        while self.bounds[self.m + 1] <= time {
+            self.next_window();
+        }
+        self.slot[t] = self.active.len();
+        self.active.push(t);
+        self.since[t] = time;
+    }
+
+    fn end(&mut self, t: usize, time: u64) {
+        while self.bounds[self.m + 1] < time {
+            self.next_window();
+        }
+        let k = self.slot[t];
+        self.active.swap_remove(k);
+        if let Some(&moved) = self.active.get(k) {
+            self.slot[moved] = k;
+        }
+        self.slot[t] = IDLE;
+        self.close(t, time, 0);
+    }
+
+    /// Closes `t`'s activation at `at` in the current window: charges its
+    /// busy cycles and its overlap with the active targets from position
+    /// `from` on.
+    fn close(&mut self, t: usize, at: u64, from: usize) {
+        let s = self.since[t];
+        self.comm[t * self.num_windows + self.m] += at - s;
+        for k in from..self.active.len() {
+            let j = self.active[k];
+            let cycles = at - s.max(self.since[j]);
+            if cycles > 0 {
+                let (a, b) = if t < j { (t, j) } else { (j, t) };
+                let pair = a * self.n - a * (a + 1) / 2 + (b - a - 1);
+                if self.row[pair] == 0 {
+                    self.charged.push(pair);
+                }
+                self.row[pair] += cycles;
+            }
+        }
+    }
+
+    /// Closes every activation at the current window's end, moves the
+    /// window's overlaps out of the scratch row and reopens the
+    /// activations in the next window.
+    fn next_window(&mut self) {
+        let boundary = self.bounds[self.m + 1];
+        for k in 0..self.active.len() {
+            self.close(self.active[k], boundary, k + 1);
+        }
+        self.flush();
+        for &t in &self.active {
+            self.since[t] = boundary;
+        }
+        self.m += 1;
+    }
+
+    /// Moves the current window's pair overlaps into `wo` and `om`.
+    fn flush(&mut self) {
+        for &pair in &self.charged {
+            let cycles = std::mem::take(&mut self.row[pair]);
+            self.wo[pair * self.num_windows + self.m] = cycles;
+            self.om[pair] += cycles;
+        }
+        self.charged.clear();
     }
 }
 

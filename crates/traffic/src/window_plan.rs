@@ -46,11 +46,14 @@ impl WindowPlan {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two boundaries are given or they are not
-    /// strictly increasing.
+    /// Panics if fewer than two boundaries are given, the first is not
+    /// cycle 0, or they are not strictly increasing. A plan starting later
+    /// would leave the traffic before its first boundary out of every
+    /// window.
     #[must_use]
     pub fn from_bounds(bounds: Vec<u64>) -> Self {
         assert!(bounds.len() >= 2, "need at least one window");
+        assert_eq!(bounds[0], 0, "window plan must start at cycle 0");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
             "boundaries must be strictly increasing"
@@ -242,6 +245,18 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn non_monotone_bounds_rejected() {
         let _ = WindowPlan::from_bounds(vec![0, 100, 100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window plan must start at cycle 0")]
+    fn plan_starting_after_cycle_zero_rejected() {
+        let _ = WindowPlan::from_bounds(vec![10, 100]);
+    }
+
+    #[test]
+    #[should_panic(expected = "window plan must start at cycle 0")]
+    fn analysis_starting_after_cycle_zero_rejected() {
+        let _ = WindowStats::analyze_with_bounds(&bursty_trace(), vec![100, 2_000]);
     }
 
     #[test]

@@ -263,10 +263,6 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
             "--maxtb" => params = params.with_maxtb(parse(value(args, flag)?, "maxtb")?),
             "--solver" => solver = value(args, flag)?.parse()?,
             "--jobs" => jobs = Some(parse_jobs(value(args, flag)?)?),
-            "--heuristic" => {
-                eprintln!("note: --heuristic is deprecated; use --solver heuristic");
-                solver = SolverKind::Heuristic;
-            }
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
         }

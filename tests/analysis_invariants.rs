@@ -1,6 +1,10 @@
 //! Property tests over the analysis layer: trace interchange round-trips,
-//! uniform/variable window-plan equivalences, and LP-solver sanity on
-//! random models.
+//! uniform/variable window-plan equivalences, the window sweep against
+//! the sort-and-segment sweep it replaced, and LP-solver sanity on random
+//! models.
+
+#[path = "support/reference_window.rs"]
+mod reference_window;
 
 use proptest::prelude::*;
 use stbus::milp::simplex::{solve_lp, BoundOverrides, LpOutcome};
@@ -104,6 +108,86 @@ proptest! {
             lens,
             adaptive.bounds().last().unwrap() - adaptive.bounds().first().unwrap()
         );
+    }
+}
+
+/// Unsorted traces of up to 24 targets and 300 events whose busy
+/// intervals often duplicate, nest inside or touch the previous event's.
+fn arb_sweep_trace() -> impl Strategy<Value = Trace> {
+    (1usize..=4, 1usize..=24).prop_flat_map(|(ni, nt)| {
+        prop::collection::vec(
+            (
+                0usize..ni,
+                0usize..nt,
+                (0u64..600, 1u32..40),
+                prop::bool::ANY,
+                0u8..6,
+            ),
+            1..=300,
+        )
+        .prop_map(move |events| {
+            let mut tr = Trace::new(ni, nt);
+            let mut prev: Option<TraceEvent> = None;
+            for (i, t, (s, d), critical, shape) in events {
+                let (start, duration) = match (shape, prev) {
+                    // The previous event's interval again.
+                    (0, Some(p)) => (p.start, p.duration),
+                    // Nested inside it.
+                    (1, Some(p)) => (p.start + 1, p.duration.saturating_sub(2).max(1)),
+                    // Starting where it ends.
+                    (2, Some(p)) => (p.end(), d),
+                    _ => (s, d),
+                };
+                let event = TraceEvent {
+                    initiator: InitiatorId::new(i),
+                    target: TargetId::new(t),
+                    start,
+                    duration,
+                    critical,
+                };
+                tr.push(event);
+                prev = Some(event);
+            }
+            tr
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The merge sweep reproduces the sort-and-segment sweep entry for
+    /// entry: every `comm`, `wo` and `om` and the critical sets, under
+    /// uniform windows of 1–300 cycles, one 2⁴⁰-cycle window and adaptive
+    /// plans.
+    #[test]
+    fn sweep_matches_reference(tr in arb_sweep_trace(), plan in 0u8..3, ws in 1u64..=300) {
+        let stats = match plan {
+            0 => WindowStats::analyze(&tr, ws),
+            1 => WindowStats::analyze(&tr, 1 << 40),
+            _ => WindowPlan::adaptive(&tr, ws, ws * 8, 0.1).analyze(&tr),
+        };
+        let reference = reference_window::analyze_reference(&tr, stats.bounds());
+        prop_assert_eq!(stats.num_windows(), reference.num_windows);
+        let n = tr.num_targets();
+        for i in 0..n {
+            for m in 0..stats.num_windows() {
+                prop_assert_eq!(stats.comm(i, m), reference.comm(i, m));
+            }
+            for j in (i + 1)..n {
+                for m in 0..stats.num_windows() {
+                    prop_assert_eq!(
+                        stats.window_overlap(i, j, m),
+                        reference.window_overlap(i, j, m)
+                    );
+                }
+                prop_assert_eq!(stats.overlap_matrix().get(i, j), reference.overlap(i, j));
+                prop_assert_eq!(
+                    stats.critical_streams_overlap(i, j),
+                    reference.critical_streams_overlap(i, j)
+                );
+            }
+        }
     }
 }
 

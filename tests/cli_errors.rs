@@ -35,6 +35,9 @@ fn removed_solver_flags_exit_with_usage() {
         assert_refused(&output, "unknown flag");
         assert_refused(&stbus(&["suite", flag, value]), "unknown flag");
     }
+    // The old `--heuristic` alias of `--solver heuristic`.
+    let output = stbus(&["synthesize", "--trace", trace, "--heuristic"]);
+    assert_refused(&output, "unknown flag");
     let _ = std::fs::remove_file(trace);
 }
 
