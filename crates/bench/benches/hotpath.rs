@@ -18,8 +18,8 @@
 //!   churn is visible as a number, not a feeling.
 //! * **Word-parallel kernel throughput** — `any_and` / `and_assign`
 //!   dispatch tier vs the scalar oracle on L2-resident operands, with
-//!   the active tier (`chunked` or `avx2`) recorded so a throughput
-//!   row is attributable to the build that produced it.
+//!   the active tier (`chunked`) recorded so a throughput row is
+//!   attributable to the build that produced it.
 //!
 //! The run merges a `hotpath` row into `BENCH_phase3.json` next to the
 //! size-sweep rows (each bench carries the others' rows forward). When

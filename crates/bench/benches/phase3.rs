@@ -425,7 +425,8 @@ fn bench_phase3(c: &mut Criterion) {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
     // The gateway-throughput, incremental-resynthesis, hotpath and
     // journal-overhead benches share this snapshot file; carry their rows
-    // forward instead of clobbering them (and vice versa over there).
+    // forward instead of clobbering them (and vice versa over there),
+    // along with the recorded `soc_frontier_directions` benchmark row.
     let old = std::fs::read_to_string(path).ok();
     let mut snapshot = snapshot;
     for key in [
@@ -433,6 +434,7 @@ fn bench_phase3(c: &mut Criterion) {
         "incremental_resynthesis",
         "hotpath",
         "journal_overhead",
+        "soc_frontier_directions",
     ] {
         if let Some(row) = old
             .as_deref()

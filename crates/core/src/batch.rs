@@ -9,9 +9,10 @@
 //! sequential run — jobs share nothing but immutable artifacts.
 //!
 //! Because the stages run as executor tasks rather than on a private
-//! scoped pool, the parallelism inside each design point — the phase-3
-//! probe scheduler's speculative searches, the annealer's repair
-//! restarts — feeds the *same* worker set: a batch of two points on an
+//! scoped pool, the parallelism inside each design point — the two
+//! phase-3 crossbar directions, the probe scheduler's speculative
+//! searches, the annealer's repair restarts, the phase-4 simulations —
+//! feeds the *same* worker set: a batch of two points on an
 //! eight-core host keeps all eight workers busy instead of pinning the
 //! run to the batch width (the `executor_saturation` row of
 //! `BENCH_phase3.json` records exactly this).
@@ -137,11 +138,14 @@ impl<'a> Batch<'a> {
 
     /// Caps how many of this batch's jobs are in flight on the shared
     /// executor at once (default: the executor's parallelism).
-    /// `threads(1)` gives a strictly sequential run on the calling
-    /// thread — useful for verifying that parallel results are
-    /// identical. The cap applies to the batch's own stages only; inner
-    /// probe searches and annealer restarts still spread across every
-    /// executor worker.
+    /// `threads(1)` runs the batch's stages one after another on the
+    /// calling thread — useful for verifying that parallel results are
+    /// identical. The cap applies to the batch's own stages only; the
+    /// parallelism inside each design point still spreads across every
+    /// executor worker: the two phase-3 crossbar directions (solved
+    /// concurrently under a one-probe-at-a-time strategy, see
+    /// [`crate::pipeline::Analyzed::synthesize_cancellable`]), probe
+    /// searches, annealer restarts and the phase-4 simulations.
     ///
     /// # Panics
     ///

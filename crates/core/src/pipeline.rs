@@ -613,21 +613,45 @@ impl<'a> Analyzed<'a> {
     /// lets a service abandon an in-flight design the moment its requester
     /// goes away instead of finishing a solve nobody will read.
     ///
+    /// The request and response crossbars are independent problems. When
+    /// the strategy searches one probe at a time
+    /// ([`Synthesizer::probe_width`] of 1), the response direction runs as
+    /// an executor task while the calling thread solves the request
+    /// direction. A strategy with wider probe waves already spreads its
+    /// probes over the executor, so it solves the directions in turn.
+    /// Either way the result is the sequential one: a request-direction
+    /// error or `Ok(None)` wins (the response task is cancelled), and
+    /// otherwise the response direction's error or `Ok(None)` is returned.
+    ///
     /// # Errors
     ///
     /// [`FlowError::SolverLimit`] as for [`Analyzed::synthesize`].
     pub fn synthesize_cancellable(
         &self,
         strategy: &dyn Synthesizer,
-        cancel: &stbus_exec::CancelToken,
+        cancel: &exec::CancelToken,
     ) -> Result<Option<Synthesized<'_>>, FlowError> {
-        let Some(it) = strategy.synthesize_cancellable(&self.pre_it, &self.params, cancel)? else {
-            return Ok(None);
+        let solve = |pre: &Preprocessed, cancel: &exec::CancelToken| {
+            strategy.synthesize_cancellable(pre, &self.params, cancel)
         };
-        let Some(ti) = strategy.synthesize_cancellable(&self.pre_ti, &self.params, cancel)? else {
-            return Ok(None);
+        let both = if strategy.probe_width() > 1 {
+            match solve(&self.pre_it, cancel)? {
+                Some(it) => solve(&self.pre_ti, cancel)?.map(|ti| (it, ti)),
+                None => None,
+            }
+        } else {
+            exec::scope(|s| {
+                let ti = s.submit(|token| solve(&self.pre_ti, &token.child_linked(cancel)));
+                match solve(&self.pre_it, cancel) {
+                    Ok(Some(it)) => Ok(s.take(ti)?.map(|ti| (it, ti))),
+                    lost => {
+                        s.cancel(ti);
+                        lost.map(|_| None)
+                    }
+                }
+            })?
         };
-        Ok(Some(Synthesized {
+        Ok(both.map(|(it, ti)| Synthesized {
             analyzed: self,
             it,
             ti,

@@ -21,10 +21,10 @@
 //! [`Synthesizer::synthesize_cancellable`], over the one exact path
 //! ([`ProbeScheduler::synthesize`]) and the one heuristic path
 //! ([`synthesize_heuristic`]); [`Synthesizer::synthesize`] is the
-//! provided root-token convenience. Solver knobs — node budget,
-//! `{pruning} × {search}` — come from [`DesignParams::solve_limits`]; the
+//! provided root-token convenience. The solver limits — node budget and
+//! pruning level — come from [`DesignParams::solve_limits`]; the
 //! strategies add only what is theirs: an optional node budget override
-//! and the probe parallelism.
+//! and the probe parallelism, which [`Synthesizer::probe_width`] reports.
 
 use crate::params::DesignParams;
 use crate::phase2::Preprocessed;
@@ -38,6 +38,14 @@ use std::num::NonZeroUsize;
 pub trait Synthesizer: Sync {
     /// Short human-readable strategy name (used in reports and logs).
     fn name(&self) -> &'static str;
+
+    /// How many feasibility probes the strategy keeps in flight on the
+    /// process-wide executor; 1 when it searches one probe at a time.
+    /// [`crate::pipeline::Analyzed::synthesize_cancellable`] reads it to
+    /// decide whether the two crossbar directions run concurrently.
+    fn probe_width(&self) -> usize {
+        1
+    }
 
     /// Synthesises the minimum crossbar and its binding under a
     /// cooperative per-request [`CancelToken`]: `Ok(None)` means the
@@ -117,6 +125,10 @@ impl Exact {
 impl Synthesizer for Exact {
     fn name(&self) -> &'static str {
         "exact"
+    }
+
+    fn probe_width(&self) -> usize {
+        self.jobs.map_or(1, NonZeroUsize::get)
     }
 
     fn synthesize_cancellable(
@@ -209,6 +221,10 @@ impl Synthesizer for Portfolio {
         "portfolio"
     }
 
+    fn probe_width(&self) -> usize {
+        self.jobs.map_or(1, NonZeroUsize::get)
+    }
+
     fn synthesize_cancellable(
         &self,
         pre: &Preprocessed,
@@ -246,8 +262,8 @@ impl SolverKind {
     /// Instantiates the strategy for this kind with explicit probe
     /// parallelism (`None` = sequential) — what the CLI's and the
     /// gateway's `jobs` knob plumbs through. The heuristic's upward scan
-    /// has no probes to speculate, so `jobs` is ignored there. Pruning
-    /// and search levels travel in [`DesignParams::solve_limits`].
+    /// has no probes to speculate, so `jobs` is ignored there. The node
+    /// budget and pruning level travel in [`DesignParams::solve_limits`].
     #[must_use]
     pub fn synthesizer(self, jobs: Option<NonZeroUsize>) -> Box<dyn Synthesizer> {
         match self {

@@ -5,31 +5,24 @@
 //! builder's candidate shrink (`candidates ∧= row`) — are AND loops over
 //! `u64` words. Profiles of the exact binding search show these loops and
 //! the bound usability scans built on them dominate per-node cost, so
-//! they are centralised here in three tiers:
+//! they are centralised here in two tiers:
 //!
 //! 1. **Scalar reference** (`*_scalar`): the obviously-correct
-//!    one-word-at-a-time formulation. Never used on the hot path; it is
-//!    the oracle the property tests compare every other tier against.
-//! 2. **Chunked** (default, `any_and` only): fixed-width blocks of
-//!    [`CHUNK_WORDS`] = 4 `u64`s with a single OR-reduced accumulator per
-//!    block. The block shape removes the per-word early-exit branch that
-//!    defeats autovectorization, so LLVM emits 256-bit vector ANDs
-//!    wherever the target baseline allows. `and_assign` has no early
-//!    exit to remove — its plain zip loop already autovectorizes, and the
-//!    manually chunked formulation measured *slower* (0.55×, `hotpath`
-//!    bench row), so on non-AVX2 builds [`and_assign`] routes straight
-//!    through the scalar body.
-//! 3. **Explicit AVX2** (`--features simd`, compiled only when the build
-//!    target statically enables `avx2`, e.g.
-//!    `RUSTFLAGS="-C target-feature=+avx2"`): an explicit-lane
-//!    `[u64; 4]`-block formulation whose loads and ANDs are whole 256-bit
-//!    lanes by construction, guaranteed to lower to `vpand`/`vpor` under
-//!    the statically-enabled feature.
+//!    one-word-at-a-time formulation. It is the oracle the property
+//!    tests compare [`any_and`] against, and the body of [`and_assign`].
+//! 2. **Chunked** ([`any_and`]): fixed-width blocks of [`CHUNK_WORDS`] =
+//!    4 `u64`s with a single OR-reduced accumulator per block. The block
+//!    shape removes the per-word early-exit branch that defeats
+//!    autovectorization, so LLVM emits 256-bit vector ANDs wherever the
+//!    target baseline allows. `and_assign` has no early exit to remove —
+//!    its plain zip loop already autovectorizes, and the manually chunked
+//!    formulation measured *slower* (0.55×, `hotpath` bench row), so
+//!    [`and_assign`] routes straight through the scalar body.
 //!
-//! All tiers are bit-exact: they compute the same boolean / the same
-//! destination words for every input, which the proptests in this module
-//! assert across widths 1–3 words (the common conflict-row sizes) and
-//! longer tails that exercise the remainder loop.
+//! The tiers are bit-exact: they compute the same boolean for every
+//! input, which the proptests in this module assert across widths 1–3
+//! words (the common conflict-row sizes) and longer tails that exercise
+//! the remainder loop.
 
 /// Words per fixed-width block in the chunked kernels (4 × u64 = 256 bits,
 /// one AVX2 lane).
@@ -53,10 +46,23 @@ pub fn and_assign_scalar(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// Chunked kernel body for [`any_and`]: 4-word blocks with an OR-reduced
-/// accumulator, then a scalar tail.
-#[inline(always)]
-fn any_and_body(a: &[u64], b: &[u64]) -> bool {
+/// The kernel tier in use: always `"chunked"` (chunked `any_and`,
+/// scalar `and_assign`). Bench snapshots and the benchmark's stamp line
+/// record it so a throughput row names the tier that produced it.
+#[must_use]
+pub const fn active_tier() -> &'static str {
+    "chunked"
+}
+
+/// True when `a ∧ b` has any bit set (zipped to the shorter slice).
+///
+/// The single entry point every hot loop calls: `TargetSet::intersects`,
+/// `ConflictGraph::{conflicts_with_set, conflicts_with_words}`, the
+/// clique builder, the delta re-threshold patch and the solver bounds'
+/// unbound-subgraph scans all route through here.
+#[inline]
+#[must_use]
+pub fn any_and(a: &[u64], b: &[u64]) -> bool {
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut i = 0;
@@ -77,100 +83,15 @@ fn any_and_body(a: &[u64], b: &[u64]) -> bool {
     false
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-mod avx2 {
-    //! Explicit 256-bit variants: the block loop works on whole
-    //! `[u64; 4]` lanes (`chunks_exact` + array patterns) so each
-    //! iteration is one 256-bit load / AND / OR-reduce with no scalar
-    //! indexing for LLVM to second-guess. This module only compiles when
-    //! the build statically enables `avx2` (the `cfg(target_feature)`
-    //! gate), which guarantees the lane ops lower to `vpand`/`vpor` —
-    //! no `unsafe` intrinsics needed, keeping the crate-wide
-    //! `#![forbid(unsafe_code)]` intact.
-
-    use super::CHUNK_WORDS;
-
-    pub fn any_and(a: &[u64], b: &[u64]) -> bool {
-        let n = a.len().min(b.len());
-        let (a, b) = (&a[..n], &b[..n]);
-        let (a_blocks, a_tail) = a.as_chunks::<CHUNK_WORDS>();
-        let (b_blocks, b_tail) = b.as_chunks::<CHUNK_WORDS>();
-        for (x, y) in a_blocks.iter().zip(b_blocks) {
-            let lanes = [x[0] & y[0], x[1] & y[1], x[2] & y[2], x[3] & y[3]];
-            if (lanes[0] | lanes[1]) | (lanes[2] | lanes[3]) != 0 {
-                return true;
-            }
-        }
-        super::any_and_scalar(a_tail, b_tail)
-    }
-
-    pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-        let n = dst.len().min(src.len());
-        let (dst, src) = (&mut dst[..n], &src[..n]);
-        let (d_blocks, d_tail) = dst.as_chunks_mut::<CHUNK_WORDS>();
-        let (s_blocks, s_tail) = src.as_chunks::<CHUNK_WORDS>();
-        for (d, s) in d_blocks.iter_mut().zip(s_blocks) {
-            *d = [d[0] & s[0], d[1] & s[1], d[2] & s[2], d[3] & s[3]];
-        }
-        super::and_assign_scalar(d_tail, s_tail);
-    }
-}
-
-/// The kernel tier the dispatchers compiled to — `"avx2"` when the
-/// explicit-lane variants are active (`--features simd` on a build whose
-/// target statically enables AVX2), `"chunked"` otherwise (chunked
-/// `any_and`, scalar `and_assign`). Bench snapshots record this so a
-/// throughput row is attributable to the tier that produced it.
-#[must_use]
-pub const fn active_tier() -> &'static str {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        "avx2"
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        "chunked"
-    }
-}
-
-/// True when `a ∧ b` has any bit set (zipped to the shorter slice).
-///
-/// The single entry point every hot loop calls: `TargetSet::intersects`,
-/// `ConflictGraph::{conflicts_with_set, conflicts_with_words}`, the
-/// clique builder, the delta re-threshold patch and the solver bounds'
-/// unbound-subgraph scans all route through here, so the tier choice
-/// (chunked vs explicit AVX2) applies uniformly.
-#[inline]
-#[must_use]
-pub fn any_and(a: &[u64], b: &[u64]) -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        avx2::any_and(a, b)
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        any_and_body(a, b)
-    }
-}
-
 /// `dst[i] &= src[i]` over the zipped prefix.
 ///
 /// Unlike [`any_and`] there is no early-exit branch for a manual block
 /// loop to remove: the scalar zip already autovectorizes, and the
 /// hand-chunked variant measured 0.55× against it (committed `hotpath`
-/// row), so the non-AVX2 dispatch *is* the scalar body. The explicit
-/// 256-bit lane variant still wins when the build statically enables
-/// AVX2 (`--features simd`), so that tier is kept.
+/// row), so this *is* the scalar body.
 #[inline]
 pub fn and_assign(dst: &mut [u64], src: &[u64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2"))]
-    {
-        avx2::and_assign(dst, src);
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64", target_feature = "avx2")))]
-    {
-        and_assign_scalar(dst, src);
-    }
+    and_assign_scalar(dst, src);
 }
 
 #[cfg(test)]
@@ -186,8 +107,8 @@ mod tests {
     }
 
     proptest! {
-        /// Dispatch (chunked or AVX2) equals the scalar oracle on the
-        /// `any_and` predicate for widths 1–3.
+        /// The chunked kernel equals the scalar oracle on the `any_and`
+        /// predicate for widths 1–3.
         #[test]
         fn any_and_matches_scalar_narrow(a in arb_words(3), b in arb_words(3)) {
             prop_assert_eq!(any_and(&a, &b), any_and_scalar(&a, &b));
@@ -197,15 +118,6 @@ mod tests {
         #[test]
         fn any_and_matches_scalar_wide(a in arb_words(13), b in arb_words(13)) {
             prop_assert_eq!(any_and(&a, &b), any_and_scalar(&a, &b));
-        }
-
-        /// Dispatch equals the scalar oracle on `and_assign`, all widths.
-        #[test]
-        fn and_assign_matches_scalar(mut a in arb_words(13), b in arb_words(13)) {
-            let mut reference = a.clone();
-            and_assign_scalar(&mut reference, &b);
-            and_assign(&mut a, &b);
-            prop_assert_eq!(a, reference);
         }
 
         /// Sparse masks (the common conflict-row shape) still agree —

@@ -25,14 +25,19 @@
 //!
 //! `--jobs N` caps the concurrency of the front end you invoke: for
 //! `synthesize` it sizes the speculative feasibility-probe waves of
-//! phase 3, for `suite` the batch's in-flight evaluations. Every layer —
-//! batch stages, probe scheduler, portfolio race, annealer restarts —
-//! runs on one process-wide work-stealing executor ([`stbus::exec`]),
-//! sized to the machine's available parallelism (override with the
+//! phase 3, for `suite` the batch's in-flight evaluations, for `serve`
+//! the request workers, for `replay` the delta chains replayed at once.
+//! It does not bound the layers beneath. Every layer — batch stages,
+//! probe scheduler, portfolio race, annealer restarts, the two phase-3
+//! crossbar directions, the phase-4 simulations — runs on one
+//! process-wide work-stealing executor ([`stbus::exec`]), sized to the
+//! machine's available parallelism (override with the
 //! `STBUS_EXEC_WORKERS` environment variable) and grown to `--jobs` when
-//! that is larger. `--jobs 1` forces a fully sequential run. Results are
-//! bit-identical at every setting — the flag only trades wall-clock for
-//! cores.
+//! that is larger. So `--jobs 1` makes the front end's own loop
+//! sequential, but a `suite` design still solves its two directions
+//! concurrently and fans its simulations out at the executor's width.
+//! Results are bit-identical at every setting — the flag only trades
+//! wall-clock for cores.
 //!
 //! Phase 3 runs the paper's one exact search (the binary search over
 //! bus counts with pruned feasibility probes, then MILP-2), so `--solver`
@@ -104,8 +109,9 @@ fn parse_jobs(text: &str) -> Result<NonZeroUsize, String> {
 }
 
 /// Applies an explicit `--jobs` to the shared executor: a request above
-/// the executor's current size grows the worker set; `--jobs 1` stays a
-/// purely sequential run (the inline paths never touch the executor).
+/// the executor's current size grows the worker set. `--jobs 1` leaves
+/// the executor as it is; the layers beneath the front end still use it
+/// (see the module doc).
 fn apply_jobs(jobs: Option<NonZeroUsize>) {
     if let Some(jobs) = jobs {
         if jobs.get() > 1 {
