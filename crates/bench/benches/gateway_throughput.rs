@@ -22,7 +22,7 @@
 //! below 1/1.3 of the committed one (the nightly perf job sets this).
 //!
 //! On a 1-core host the row carries the shared machine-readable
-//! `single_core_host` warning (same shape as the `executor_saturation`
+//! `single_core_host` warning (same shape as the `journal_overhead`
 //! row): with clients, connection threads and workers timesliced onto
 //! one core, `requests_per_sec` measures scheduling overhead under
 //! contention, not service parallelism.

@@ -1,7 +1,7 @@
 //! Phase-3 **size-sweep** benchmark: 12/24/32/48/96-target synthetic SoCs
 //! — the scaling curve of the solver stack, not a single point.
 //!
-//! Five stories in one run, all snapshotted to `BENCH_phase3.json` at the
+//! Three stories in one run, all snapshotted to `BENCH_phase3.json` at the
 //! workspace root (and appended to the file named by the `BENCH_HISTORY`
 //! environment variable, when set — the CI perf-trajectory job). The
 //! snapshot file is shared with `gateway_throughput.rs`, whose row this
@@ -29,31 +29,13 @@
 //! * **θ-sweep** — a nine-point overlap-threshold sweep at the largest
 //!   size, per-point rebuild vs the sweep-resident [`OverlapProfile`]
 //!   path (one analysis, O(pairs) re-threshold per θ).
-//! * **Probe scheduler** — the speculative parallel binary search at 24
-//!   targets, plain and raced, against the sequential search, with the
-//!   raced run's heuristic pre-pass attributed separately (on a 1-core
-//!   host `parallel_s` can only tie `sequential_s` plus queue overhead;
-//!   without the pre-pass attribution that read as a scheduler
-//!   regression in the PR-3 snapshot).
-//! * **Executor saturation** — a batch of **2** design points × 48-target
-//!   raced probes on the shared executor, recording the peak number of
-//!   simultaneously busy workers plus the time-weighted busy-worker
-//!   integral (worker·seconds), whose ratio to wall time is the mean
-//!   occupancy — meaningful even on 1-core hosts where the peak
-//!   saturates the moment two tasks overlap. Under the retired stacked pools the
-//!   batch's parallelism was pinned to the batch width (2); with one
-//!   work-stealing executor the inner probe and repair tasks spill onto
-//!   the leftover workers. On a 1-core host the row records scheduling
-//!   concurrency, not parallel speedup, and the snapshot carries an
-//!   explicit warning.
 //!
 //! Methodology notes live in `crates/bench/BENCHMARKS.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use stbus_core::pipeline::BaselineSet;
 use stbus_core::synthesizer::{Exact, Heuristic, Portfolio, Synthesizer};
-use stbus_core::{exec, Batch, DesignParams, Preprocessed, ProbeScheduler, SynthesisEngine};
-use stbus_milp::{HeuristicOptions, PruningLevel, SolveLimits};
+use stbus_core::{DesignParams, Preprocessed, SynthesisEngine};
+use stbus_milp::{PruningLevel, SolveLimits};
 use stbus_traffic::workloads::synthetic;
 use std::fmt::Write as _;
 use std::num::NonZeroUsize;
@@ -141,7 +123,7 @@ fn infeasibility_frontier(pre: &Preprocessed) -> usize {
 
 fn bench_phase3(c: &mut Criterion) {
     let params = sweep_params();
-    let jobs = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let host_parallelism = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
     let mut size_points: Vec<SizePoint> = Vec::new();
     let mut group = c.benchmark_group("phase3_size_sweep");
@@ -279,90 +261,6 @@ fn bench_phase3(c: &mut Criterion) {
     let rebuild_s = min_time(3, rebuild);
     let incremental_s = min_time(3, incremental);
 
-    // --- Probe scheduler at a fully exact-tractable size. ---
-    let sched_targets = 24;
-    let pre24 = pre_of(sched_targets, &params);
-    let sequential = Exact::default().synthesize(&pre24, &params).unwrap();
-    let sequential_s = min_time(3, || Exact::default().synthesize(&pre24, &params).unwrap());
-    let jobs_nz = NonZeroUsize::new(jobs).expect("parallelism is positive");
-    let parallel_s = min_time(3, || {
-        ProbeScheduler::new(jobs_nz)
-            .synthesize(&pre24, &params, &exec::CancelToken::new())
-            .unwrap()
-    });
-    let raced_s = min_time(3, || {
-        ProbeScheduler::new(jobs_nz)
-            .with_race(HeuristicOptions::default())
-            .synthesize(&pre24, &params, &exec::CancelToken::new())
-            .unwrap()
-    });
-    // Phase attribution for the raced run: the heuristic pre-pass over
-    // exactly the probes the sequential search consumes. Without this the
-    // PR-3 snapshot conflated pre-pass and exact time, which on a 1-core
-    // host made `parallel_s`/`raced_s` read as a scheduler regression.
-    let prepass = || {
-        sequential
-            .probes
-            .iter()
-            .filter(|&&(buses, _)| {
-                stbus_milp::solve_heuristic(
-                    &pre24.binding_problem(buses),
-                    &HeuristicOptions::default(),
-                )
-                .is_some()
-            })
-            .count()
-    };
-    let raced_probes_certified = prepass();
-    let raced_prepass_s = min_time(3, prepass);
-
-    // --- Executor saturation: 2 design points × 48-target probes. ---
-    // The question this row answers is a *scheduling* one: does a batch
-    // narrower than the worker set keep the leftover workers busy with
-    // the points' inner probe/repair tasks? The executor is grown to at
-    // least 4 workers so the answer is observable even on small hosts;
-    // on a 1-core host the peak measures OS-timesliced concurrency, not
-    // parallel speedup, and the snapshot says so.
-    const SATURATION_WORKERS: usize = 4;
-    const SATURATION_POINTS: usize = 2;
-    exec::ensure_workers(SATURATION_WORKERS);
-    let sat_targets = 48;
-    let sat_apps = vec![synthetic::scaled_soc(sat_targets, SEED)];
-    let sat_grid: Vec<DesignParams> = [0.12, 0.16]
-        .iter()
-        .map(|&theta| sweep_params().with_overlap_threshold(theta))
-        .collect();
-    assert_eq!(sat_grid.len(), SATURATION_POINTS);
-    let sat_jobs = NonZeroUsize::new(exec::workers()).expect("workers are positive");
-    exec::reset_peak_busy();
-    exec::reset_busy_integral();
-    let sat_start = Instant::now();
-    let sat_results = Batch::over(&sat_apps, sat_grid)
-        .with_strategy(Portfolio::with_budget(PROBE_BUDGET).with_jobs(sat_jobs))
-        .with_baselines(BaselineSet::none())
-        .threads(SATURATION_POINTS)
-        .run();
-    let sat_wall_s = sat_start.elapsed().as_secs_f64();
-    let sat_peak_busy = exec::peak_busy();
-    // Time-weighted occupancy (worker·seconds / wall seconds). On a
-    // 1-core host `peak_busy_workers` saturates at the worker count the
-    // moment two tasks overlap for a microsecond; the integral is the
-    // honest utilization figure there.
-    let sat_busy_integral = exec::busy_integral();
-    assert_eq!(sat_results.len(), SATURATION_POINTS);
-    for point in &sat_results {
-        assert!(point.result.is_ok(), "portfolio point failed");
-    }
-    // Machine-readable warning shared with the gateway throughput bench:
-    // trajectory tooling filters on `code`, not prose.
-    let sat_warning = stbus_bench::host_warning_json(jobs, "peak_busy_workers");
-    if jobs == 1 {
-        eprintln!(
-            "warning: executor-saturation row measured on a 1-core host — \
-             occupancy shows scheduling concurrency only"
-        );
-    }
-
     // --- JSON snapshot for the perf trajectory (workspace root). ---
     let mut sizes_json = String::new();
     for (i, p) in size_points.iter().enumerate() {
@@ -394,33 +292,18 @@ fn bench_phase3(c: &mut Criterion) {
     }
     let snapshot = format!(
         "{{\n  \"bench\": \"phase3_size_sweep\",\n  \"date\": \"{date}\",\n  \
-         \"host_parallelism\": {jobs},\n  \
+         \"host_parallelism\": {host_parallelism},\n  \
          \"workload\": {{\"family\": \"synthetic_scaled_soc\", \"seed\": {SEED}, \
          \"overlap_threshold\": 0.12, \"window_size\": 2000, \"maxtb\": 6, \
          \"pruning\": \"standard\", \"frontier_node_budget\": {frontier_budget}}},\n  \
          \"sizes\": [\n{sizes_json}\n  ],\n  \
          \"theta_sweep\": {{\"targets\": {theta_targets}, \"points\": {points}, \
          \"rebuild_per_point_s\": {rebuild_s:.6}, \"incremental_profile_s\": {incremental_s:.6}, \
-         \"speedup_incremental_vs_rebuild\": {theta_speedup:.2}}},\n  \
-         \"probe_scheduler\": {{\"targets\": {sched_targets}, \"jobs\": {jobs}, \
-         \"sequential_s\": {sequential_s:.6}, \"parallel_s\": {parallel_s:.6}, \
-         \"raced_s\": {raced_s:.6}, \"raced_heuristic_prepass_s\": {raced_prepass_s:.6}, \
-         \"raced_probes_certified\": {raced_probes_certified}, \
-         \"consumed_probes\": {consumed_probes}}},\n  \
-         \"executor_saturation\": {{\"batch_points\": {SATURATION_POINTS}, \
-         \"targets\": {sat_targets}, \"executor_workers\": {sat_workers}, \
-         \"probe_jobs\": {sat_probe_jobs}, \"peak_busy_workers\": {sat_peak_busy}, \
-         \"busy_worker_integral_s\": {sat_busy_integral:.6}, \
-         \"mean_busy_workers\": {sat_mean_busy:.3}, \
-         \"wall_s\": {sat_wall_s:.6}, \"warning\": {sat_warning}}}\n}}\n",
+         \"speedup_incremental_vs_rebuild\": {theta_speedup:.2}}}\n}}\n",
         date = stbus_bench::today_utc(),
         points = THETA_SWEEP.len(),
         theta_speedup = rebuild_s / incremental_s,
         frontier_budget = PROBE_BUDGET.max_nodes,
-        consumed_probes = sequential.probes.len(),
-        sat_workers = exec::workers(),
-        sat_probe_jobs = sat_jobs.get(),
-        sat_mean_busy = sat_busy_integral / sat_wall_s,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_phase3.json");
     // The gateway-throughput, incremental-resynthesis, hotpath and

@@ -274,7 +274,7 @@ mod tests {
 
     #[test]
     fn warning_is_null_on_multicore_and_structured_on_one_core() {
-        assert_eq!(host_warning_json(4, "peak_busy_workers"), "null");
+        assert_eq!(host_warning_json(4, "requests_per_sec"), "null");
         let warning = host_warning_json(1, "requests_per_sec");
         assert!(warning.starts_with("{\"code\": \"single_core_host\""));
         assert!(warning.contains("\"measure\": \"requests_per_sec\""));

@@ -10,12 +10,9 @@
 //!
 //! Because the stages run as executor tasks rather than on a private
 //! scoped pool, the parallelism inside each design point — the two
-//! phase-3 crossbar directions, the probe scheduler's speculative
-//! searches, the annealer's repair restarts, the phase-4 simulations —
-//! feeds the *same* worker set: a batch of two points on an
-//! eight-core host keeps all eight workers busy instead of pinning the
-//! run to the batch width (the `executor_saturation` row of
-//! `BENCH_phase3.json` records exactly this).
+//! phase-3 crossbar directions, the annealer's repair restarts, the
+//! phase-4 simulations — feeds the *same* worker set instead of pinning
+//! the run to the batch width.
 //!
 //! # Example
 //!
@@ -124,7 +121,7 @@ impl<'a> Batch<'a> {
     /// Sets the synthesis strategy by name (default-configured).
     #[must_use]
     pub fn with_strategy_kind(mut self, kind: SolverKind) -> Self {
-        self.strategy = kind.synthesizer(None);
+        self.strategy = kind.synthesizer();
         self
     }
 
@@ -142,10 +139,9 @@ impl<'a> Batch<'a> {
     /// calling thread — useful for verifying that parallel results are
     /// identical. The cap applies to the batch's own stages only; the
     /// parallelism inside each design point still spreads across every
-    /// executor worker: the two phase-3 crossbar directions (solved
-    /// concurrently under a one-probe-at-a-time strategy, see
-    /// [`crate::pipeline::Analyzed::synthesize_cancellable`]), probe
-    /// searches, annealer restarts and the phase-4 simulations.
+    /// executor worker: the two phase-3 crossbar directions (see
+    /// [`crate::pipeline::Analyzed::synthesize_cancellable`]), annealer
+    /// restarts and the phase-4 simulations.
     ///
     /// # Panics
     ///

@@ -70,7 +70,7 @@
 //! ([`synthesizer::Exact`], [`synthesizer::Heuristic`],
 //! [`synthesizer::Portfolio`]) plug into phase 3 via the
 //! [`synthesizer::Synthesizer`] trait; all of them run phase 3's one exact
-//! path ([`ProbeScheduler::synthesize`]) or its one heuristic path
+//! path ([`synthesize_exact`]) or its one heuristic path
 //! ([`synthesize_heuristic`]) under a cooperative [`exec::CancelToken`].
 
 #![forbid(unsafe_code)]
@@ -79,21 +79,15 @@
 pub mod baselines;
 pub mod batch;
 /// The process-wide work-stealing executor every parallel layer of the
-/// toolkit runs on — the [`crate::Batch`] design-space stages, the
-/// phase-3 [`ProbeScheduler`]'s speculative probes, the
-/// [`synthesizer::Portfolio`] exact-vs-heuristic race and the
-/// heuristic's annealing-repair restarts all submit tasks to the same
+/// toolkit runs on — the [`crate::Batch`] design-space stages, phase 3's
+/// response-direction solve ([`Analyzed::synthesize_cancellable`]) and
+/// the heuristic's annealing-repair restarts all submit tasks to the same
 /// worker set, so inner work fills whatever cores the outer layer left
 /// idle instead of stacking a second pool.
 ///
-/// The executor schedules at **two priority levels**: work enters the
-/// per-worker deques / global injector as usual, and a consumer that
-/// knows which result it needs next bumps that one task into a priority
-/// lane with [`exec::TaskScope::promote`] — the probe scheduler promotes
-/// its consume-next feasibility probe so speculative backlog never
-/// starves the critical path. Promotion is a scheduling hint only;
-/// claim-once tickets keep every result bit-identical in any drain
-/// order. **Streaming scopes** ([`exec::map_streaming`]) deliver results
+/// Work enters the per-worker deques or the global injector, and a
+/// consumer waiting on a result claims it inline if it has not started.
+/// **Streaming scopes** ([`exec::map_streaming`]) deliver results
 /// to a sink in input order as they complete with a bounded look-ahead
 /// window — the [`crate::Batch`] runner streams finished design points
 /// and the gateway streams sweep rows without materialising the whole
@@ -123,7 +117,7 @@ pub use flow::{paper_rows_json, ConfigEval, DesignReport, FlowError};
 pub use incremental::TouchedTargets;
 pub use params::{paper_suite_params, DesignParams, Windowing};
 pub use phase2::Preprocessed;
-pub use phase3::{synthesize_heuristic, ProbeScheduler, SynthesisEngine, SynthesisOutcome};
+pub use phase3::{synthesize_exact, synthesize_heuristic, SynthesisEngine, SynthesisOutcome};
 pub use phase4::{QosReport, QosStream, Validation};
 pub use pipeline::{
     AnalysisArtifact, AnalysisKey, Analyzed, BaselineSet, Collected, CollectionKey, Evaluation,

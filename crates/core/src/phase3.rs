@@ -10,13 +10,14 @@
 //!    `maxov`, the maximum aggregate pairwise overlap on any single bus
 //!    (Eq. 11), which is what reduces average and peak latency.
 //!
-//! There is one exact solve path, [`ProbeScheduler::synthesize`], and one
-//! heuristic path, [`synthesize_heuristic`]. Both take a cooperative
-//! [`CancelToken`]; callers that never cancel pass a fresh root token
-//! (the [`crate::synthesizer::Synthesizer::synthesize`] convenience does
-//! exactly that). A width-1 scheduler *is* the sequential binary search:
-//! it solves each consumed probe inline, with no speculation and no
-//! threads, and wider schedulers replay that search bit for bit.
+//! There is one exact solve path, [`synthesize_exact`], and one heuristic
+//! path, [`synthesize_heuristic`]. Both solve one direction on the calling
+//! thread and take a cooperative [`CancelToken`]; callers that never
+//! cancel pass a fresh root token (the
+//! [`crate::synthesizer::Synthesizer::synthesize`] convenience does
+//! exactly that). The parallelism of phase 3 is one level up: the staged
+//! pipeline solves the request and response crossbars concurrently
+//! ([`crate::pipeline::Analyzed::synthesize_cancellable`]).
 //!
 //! Every feasibility probe runs on the word-parallel bitset conflict
 //! graph produced by phase 2 (see [`stbus_traffic::ConflictGraph`] and
@@ -29,14 +30,12 @@
 //! where the unpruned search blows its node budget. The solver limits
 //! live in one place, [`DesignParams::solve_limits`].
 
-use crate::exec::{self, CancelToken};
+use crate::exec::CancelToken;
 use crate::params::DesignParams;
 use crate::phase2::Preprocessed;
 use stbus_milp::{Binding, HeuristicOptions, NodeLimitExceeded, SearchInterrupted, SearchStats};
 use stbus_sim::CrossbarConfig;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::num::NonZeroUsize;
 
 /// Which solving engine produced a [`SynthesisOutcome`].
 ///
@@ -77,10 +76,8 @@ pub struct SynthesisOutcome {
     pub max_bus_overlap: u64,
     /// The engine that produced this outcome.
     pub engine: SynthesisEngine,
-    /// Search statistics accumulated over the *consumed* feasibility
-    /// probes. Deterministic: the replay
-    /// consumes the same probes at any speculation width. Zero for
-    /// heuristic outcomes.
+    /// Search statistics summed over the feasibility probes, in probe
+    /// order. Zero for heuristic outcomes.
     pub stats: SearchStats,
 }
 
@@ -215,371 +212,88 @@ pub fn synthesize_heuristic(
     ))
 }
 
-/// One resolved feasibility probe held in the scheduler's cache.
-#[derive(Debug, Clone)]
-struct ProbeOutcome {
-    /// `Some(binding)` when the probe proved its bus count feasible.
-    feasible: Option<Binding>,
-    /// Whether the proof came from the exact engine (`false` when the
-    /// heuristic pre-pass won the race — sound for the feasibility bit,
-    /// but not the binding the exact search would have produced).
-    exact: bool,
-    /// The probe's search statistics (zero for heuristic-won probes).
-    stats: SearchStats,
-}
-
-/// The exact phase-3 solver: the MILP-1 binary search, optionally with
-/// speculative parallel probes, followed by MILP-2 at the minimum size.
+/// Exact synthesis: the MILP-1 binary search over the bus count, then
+/// MILP-2 at the minimum size. Each probe solves its bus count inline,
+/// one at a time, with the admissible pruning of [`stbus_milp::bounds`].
 ///
-/// At width 1 the scheduler is the plain sequential binary search: each
-/// consumed probe is solved inline, no speculation, no threads. The
-/// sequential search probes one bus count at a time, yet the probe at
-/// `mid` only ever leads to two possible follow-ups: the
-/// midpoint of `[lo, mid]` if feasible, of `[mid+1, hi]` if not. All
-/// candidate probes in the next few levels of that decision tree are
-/// **independent** solver calls, so the scheduler submits a speculative
-/// wave of them as tasks on the process-wide executor ([`crate::exec`] —
-/// the same worker set [`crate::Batch`] stages and the annealer's repair
-/// restarts run on), then *replays the sequential search* against the
-/// cached answers. Determinism falls out by construction:
+/// `Ok(None)` means `cancel` was raised and the synthesis was abandoned:
+/// the token is polled between probes, inside every probe's search, and
+/// by MILP-2. Callers that never cancel pass `&CancelToken::new()`.
 ///
-/// * each probe is a pure function of its bus count — which thread solves
-///   it, and in which order, cannot change its answer;
-/// * the replay consumes exactly the probes the sequential search would
-///   have executed, in the same order, so [`SynthesisOutcome::probes`],
-///   the chosen size and the final MILP-2 binding are **bit-identical**
-///   to the width-1 search — the `probe_scheduler` equivalence suite proves
-///   it on the paper workloads and on random instances;
-/// * speculative probes the replay never consumes are discarded, errors
-///   included, so node-budget behaviour matches the sequential search.
+/// # Errors
 ///
-/// With [`ProbeScheduler::with_race`], every probe additionally runs the
-/// polynomial heuristic as a *deterministic pre-pass*: if the heuristic
-/// finds a feasible binding, the probe is feasible and the exact solver
-/// is skipped for it (a heuristic witness is a genuine feasibility
-/// certificate, so the feasibility bit — the only thing a probe
-/// contributes to the search — is unchanged). This is the
-/// exact-vs-heuristic race of the [`crate::synthesizer::Portfolio`]
-/// strategy, made deterministic by structure rather than by timing: the
-/// winner is decided by whether the heuristic succeeds, never by which
-/// thread finishes first. Outcomes remain bit-identical to the
-/// sequential exact search whenever that search completes within its
-/// node budget; under a starved budget the raced search can only succeed
-/// *more* often (it errors only where the heuristic also failed to
-/// certify the probe).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProbeScheduler {
-    jobs: NonZeroUsize,
-    race: Option<HeuristicOptions>,
-}
-
-impl ProbeScheduler {
-    /// A scheduler speculating up to `jobs` probes at a time. `jobs = 1`
-    /// degenerates to the plain sequential binary search (no speculation,
-    /// no threads).
-    #[must_use]
-    pub fn new(jobs: NonZeroUsize) -> Self {
-        Self { jobs, race: None }
+/// [`NodeLimitExceeded`] if the exact solver exhausts its node budget
+/// (raise [`DesignParams::solve_limits`] for pathological instances):
+/// in a feasibility probe or in the final MILP-2 optimisation.
+pub fn synthesize_exact(
+    pre: &Preprocessed,
+    params: &DesignParams,
+    cancel: &CancelToken,
+) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
+    let n = pre.stats.num_targets();
+    if n == 0 {
+        return Ok(Some(empty_outcome()));
+    }
+    if cancel.is_cancelled() {
+        return Ok(None);
     }
 
-    /// A scheduler sized to the executor's parallelism
-    /// ([`exec::parallelism`]).
-    #[must_use]
-    pub fn available() -> Self {
-        Self::new(NonZeroUsize::new(exec::parallelism()).expect("parallelism is positive"))
-    }
-
-    /// Enables the deterministic exact-vs-heuristic race per probe.
-    #[must_use]
-    pub fn with_race(mut self, options: HeuristicOptions) -> Self {
-        self.race = Some(options);
-        self
-    }
-
-    /// The probes the search *could* reach from the interval `[lo, hi)`,
-    /// breadth-first with the certain next probe first, skipping `known`
-    /// ones — capped at the `jobs` width so speculation never outruns
-    /// what the caller asked to keep in flight.
-    fn wave(&self, lo: usize, hi: usize, known: &HashSet<usize>) -> Vec<usize> {
-        let mut wave = Vec::new();
-        let mut intervals = VecDeque::from([(lo, hi)]);
-        while let Some((l, h)) = intervals.pop_front() {
-            if wave.len() >= self.jobs.get() {
-                break;
-            }
-            if l >= h {
-                continue;
-            }
-            let mid = l + (h - l) / 2;
-            if !known.contains(&mid) && !wave.contains(&mid) {
-                wave.push(mid);
-            }
-            intervals.push_back((l, mid)); // follow-up if `mid` is feasible
-            intervals.push_back((mid + 1, h)); // … and if it is not
-        }
-        wave
-    }
-
-    /// Every probe the binary search over `[lo, hi)` could still consume:
-    /// the midpoints of the whole decision tree. Intervals only narrow,
-    /// so this set shrinks monotonically — once a probe falls out it can
-    /// never be asked for again, which is what makes cancelling it sound.
-    fn reachable(lo: usize, hi: usize, out: &mut HashSet<usize>) {
-        if lo >= hi {
-            return;
-        }
-        let mid = lo + (hi - lo) / 2;
-        out.insert(mid);
-        Self::reachable(lo, mid, out);
-        Self::reachable(mid + 1, hi, out);
-    }
-
-    /// Solves one feasibility probe under `cancel`: heuristic pre-pass
-    /// first when racing, exact search otherwise. `None` means the probe
-    /// was cancelled (its answer became unreachable, or the request went
-    /// away) — the result is dropped, never consumed. In raced mode the
-    /// heuristic pre-pass itself is cancellable, so an abandoned probe
-    /// stops mid-anneal instead of finishing a repair nobody reads.
-    fn probe(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-        buses: usize,
-        cancel: &CancelToken,
-    ) -> Option<ProbeResult> {
-        let problem = pre.binding_problem(buses);
-        if let Some(options) = &self.race {
-            if let Some(binding) =
-                stbus_milp::solve_heuristic_cancellable(&problem, options, cancel)
-            {
-                return Some(Ok(ProbeOutcome {
-                    feasible: Some(binding),
-                    exact: false,
-                    stats: SearchStats::default(),
-                }));
-            }
-            // A `None` pre-pass is "no witness" *or* "cancelled"; either
-            // way the exact search below notices a raised token at its
-            // first poll, so the distinction is immaterial here.
-        }
-        match problem.find_feasible_stats_cancellable(&params.solve_limits, cancel) {
-            Ok((feasible, stats)) => Some(Ok(ProbeOutcome {
-                feasible,
-                exact: true,
-                stats,
-            })),
-            Err(SearchInterrupted::Budget(e)) => Some(Err(e)),
-            Err(SearchInterrupted::Cancelled) => None,
-        }
-    }
-
-    /// The sequential binary search over `[lower_bound, n)`, with probe
-    /// answers supplied by `resolve`. A `resolve` returning `None` (the
-    /// probe's answer was abandoned because the request driving the
-    /// search went away) aborts the search, which then reports `Ok(None)`.
-    fn binary_search(
-        lower_bound: usize,
-        n: usize,
-        mut resolve: impl FnMut(usize, usize, usize) -> Option<ProbeResult>,
-    ) -> Result<Option<SearchSummary>, NodeLimitExceeded> {
-        let mut lo = lower_bound;
-        let mut hi = n;
-        let mut probes = Vec::new();
-        let mut stats = SearchStats::default();
-        let mut best_feasible = None;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let Some(result) = resolve(lo, hi, mid) else {
-                return Ok(None);
-            };
-            let outcome = result?;
-            stats.absorb(outcome.stats);
-            match outcome {
-                ProbeOutcome {
-                    feasible: Some(binding),
-                    exact,
-                    ..
-                } => {
-                    probes.push((mid, true));
-                    best_feasible = Some((mid, binding, exact));
-                    hi = mid;
-                }
-                ProbeOutcome { feasible: None, .. } => {
-                    probes.push((mid, false));
-                    lo = mid + 1;
-                }
-            }
-        }
-        Ok(Some(SearchSummary {
-            num_buses: lo,
-            probes,
-            best_feasible,
-            stats,
-        }))
-    }
-
-    /// Runs the binary search with speculative parallel probes: executor
-    /// tasks keep solving the reachable frontier while the replay
-    /// consumes answers in sequential order; probes whose answers become
-    /// unreachable are cancelled mid-solve. The replay thread *helps*
-    /// while it waits — on a saturated executor it solves probes itself,
-    /// so the scheduler can never be starved by other scopes.
-    ///
-    /// Every probe task runs under a token *linked* to `cancel`
-    /// ([`CancelToken::child_linked`]) and the replay polls it between
-    /// probes: raising `cancel` — e.g. a gateway request whose client hung
-    /// up — abandons the whole speculative wave mid-solve and the search
-    /// reports `Ok(None)`.
-    fn parallel_search(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-        lower_bound: usize,
-        n: usize,
-        cancel: &CancelToken,
-    ) -> Result<Option<SearchSummary>, NodeLimitExceeded> {
-        exec::scope(|s: &exec::TaskScope<'_, '_, Option<ProbeResult>>| {
-            // Bus count → task index of its (possibly finished) probe.
-            // Tasks are never removed: a cancelled probe's bus count is
-            // unreachable forever (intervals only narrow), so it can
-            // never be proposed or consumed again.
-            let mut task_of: HashMap<usize, usize> = HashMap::new();
-            let summary = Self::binary_search(lower_bound, n, |lo, hi, mid| {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                // Prune work this interval can no longer consume: cancel
-                // the probes (queued or mid-solve) outside the tree.
-                let mut reachable = HashSet::new();
-                Self::reachable(lo, hi, &mut reachable);
-                for (&buses, &task) in &task_of {
-                    if !reachable.contains(&buses) {
-                        s.cancel(task);
-                    }
-                }
-                // Top the frontier up to the speculation budget.
-                let known: HashSet<usize> = task_of.keys().copied().collect();
-                for buses in self.wave(lo, hi, &known) {
-                    let task = s.submit(move |token| {
-                        self.probe(pre, params, buses, &token.child_linked(cancel))
-                    });
-                    task_of.insert(buses, task);
-                }
-                // Consume the one probe the sequential search needs next
-                // (the wave always leads with it, so it is always
-                // submitted by now). Promote it first: the consume-next
-                // probe jumps the executor's priority lane ahead of the
-                // speculative backlog, so a saturated worker set starts
-                // it before deeper speculation — a scheduling hint only,
-                // results are bit-identical (claim-once tickets). The
-                // replay never cancels a probe still in the reachable
-                // set, so a `None` here means `cancel` was raised.
-                s.promote(task_of[&mid]);
-                s.take(task_of[&mid])
-            });
-            // Unconsumed speculation is cancelled here (and drained by
-            // the scope on exit) before MILP-2 takes the cores.
-            s.cancel_all();
-            summary
-        })
-    }
-
-    /// Synthesises the minimum crossbar and its optimal binding under a
-    /// cooperative [`CancelToken`]: `Ok(None)` means the token was raised
-    /// and the synthesis was abandoned — speculative probes stop
-    /// mid-solve and MILP-2 aborts at its next poll checkpoint. Callers
-    /// that never cancel pass `&CancelToken::new()`.
-    ///
-    /// # Errors
-    ///
-    /// [`NodeLimitExceeded`] if the exact solver exhausts its node budget
-    /// (raise [`DesignParams::solve_limits`] for pathological instances):
-    /// from a probe the sequential search consumes, or from the final
-    /// MILP-2 optimisation. Errors of discarded speculative probes are
-    /// dropped with them, so every width fails exactly when width 1 does.
-    pub fn synthesize(
-        &self,
-        pre: &Preprocessed,
-        params: &DesignParams,
-        cancel: &CancelToken,
-    ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
-        let n = pre.stats.num_targets();
-        if n == 0 {
-            return Ok(Some(empty_outcome()));
-        }
+    // Binary search the minimum feasible bus count in [lb, n]; the full
+    // crossbar at `n` is always feasible.
+    let lower_bound = pre.bus_lower_bound();
+    let (mut lo, mut hi) = (lower_bound, n);
+    let mut probes = Vec::new();
+    let mut stats = SearchStats::default();
+    let mut best_feasible = None;
+    let interrupted = |e| match e {
+        SearchInterrupted::Budget(e) => Err(e),
+        SearchInterrupted::Cancelled => Ok(None),
+    };
+    while lo < hi {
         if cancel.is_cancelled() {
             return Ok(None);
         }
-
-        // Binary search the minimum feasible bus count in [lb, n]; the
-        // full crossbar at `n` is always feasible.
-        let lower_bound = pre.bus_lower_bound();
-        let summary = if self.jobs.get() <= 1 {
-            // No speculation: solve each consumed probe inline, polling
-            // the token as it solves.
-            Self::binary_search(lower_bound, n, |_, _, mid| {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                self.probe(pre, params, mid, cancel)
-            })
-        } else {
-            self.parallel_search(pre, params, lower_bound, n, cancel)
-        }?;
-        let Some(SearchSummary {
-            num_buses,
-            probes,
-            best_feasible,
-            stats,
-        }) = summary
-        else {
-            return Ok(None);
+        let mid = lo + (hi - lo) / 2;
+        let (feasible, probe_stats) = match pre
+            .binding_problem(mid)
+            .find_feasible_stats_cancellable(&params.solve_limits, cancel)
+        {
+            Ok(answer) => answer,
+            Err(e) => return interrupted(e),
         };
-
-        // MILP-2: optimal binding at the minimum size, every rung of the
-        // fallback ladder polling the token. `lo == hi == n` with `n`
-        // never probed falls back to the last feasible probe or the
-        // trivially feasible full binding. A heuristic-won probe does not
-        // carry the binding the exact probe would have produced, so that
-        // corner re-runs the (deterministic) exact probe.
-        let problem = pre.binding_problem(num_buses);
-        let optimized = problem
-            .optimize_cancellable(&params.solve_limits, cancel)
-            .and_then(|best| match (best, best_feasible) {
-                (Some(b), _) => Ok(b),
-                (None, Some((buses, b, true))) if buses == num_buses => Ok(b),
-                (None, Some((buses, _, false))) if buses == num_buses => problem
-                    .find_feasible_stats_cancellable(&params.solve_limits, cancel)
-                    .map(|(b, _)| b.expect("probe certified this size feasible")),
-                (None, _) => Ok(full_binding(n)),
-            });
-        let binding = match optimized {
-            Ok(binding) => binding,
-            Err(SearchInterrupted::Budget(e)) => return Err(e),
-            Err(SearchInterrupted::Cancelled) => return Ok(None),
-        };
-        Ok(Some(outcome(
-            params,
-            binding,
-            num_buses,
-            lower_bound,
-            probes,
-            SynthesisEngine::Exact,
-            stats,
-        )))
+        stats.absorb(probe_stats);
+        probes.push((mid, feasible.is_some()));
+        match feasible {
+            Some(binding) => {
+                best_feasible = Some((mid, binding));
+                hi = mid;
+            }
+            None => lo = mid + 1,
+        }
     }
-}
 
-type ProbeResult = Result<ProbeOutcome, NodeLimitExceeded>;
-
-/// What the configuration search hands to MILP-2: the minimum size, the
-/// consumed probe log, and the best feasible probe for the fallback path.
-struct SearchSummary {
-    num_buses: usize,
-    probes: Vec<(usize, bool)>,
-    best_feasible: Option<(usize, Binding, bool)>,
-    /// Statistics summed over the consumed probes, replay order.
-    stats: SearchStats,
+    // MILP-2: optimal binding at the minimum size. `lo == hi == n` with
+    // `n` never probed falls back to the trivially feasible full binding.
+    let binding = match pre
+        .binding_problem(lo)
+        .optimize_cancellable(&params.solve_limits, cancel)
+    {
+        Ok(Some(binding)) => binding,
+        Ok(None) => match best_feasible {
+            Some((buses, binding)) if buses == lo => binding,
+            _ => full_binding(n),
+        },
+        Err(e) => return interrupted(e),
+    };
+    Ok(Some(outcome(
+        params,
+        binding,
+        lo,
+        lower_bound,
+        probes,
+        SynthesisEngine::Exact,
+        stats,
+    )))
 }
 
 #[cfg(test)]
@@ -597,21 +311,12 @@ mod tests {
         Preprocessed::analyze(trace, p)
     }
 
-    /// The sequential reference: a width-1 scheduler under a root token.
+    /// The exact search under a root token.
     fn synthesize(
         pre: &Preprocessed,
         p: &DesignParams,
     ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        scheduled(ProbeScheduler::new(NonZeroUsize::MIN), pre, p)
-    }
-
-    fn scheduled(
-        scheduler: ProbeScheduler,
-        pre: &Preprocessed,
-        p: &DesignParams,
-    ) -> Result<SynthesisOutcome, NodeLimitExceeded> {
-        scheduler
-            .synthesize(pre, p, &CancelToken::new())
+        synthesize_exact(pre, p, &CancelToken::new())
             .map(|o| o.expect("a root token is never raised"))
     }
 
@@ -793,20 +498,29 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_matches_sequential_search() {
+    fn probes_follow_the_binary_search() {
+        // Each probe is the midpoint of the interval the verdicts so far
+        // leave open, and its verdict is the feasibility of its bus count.
         let app = stbus_traffic::workloads::matrix::mat2(23);
         let p = DesignParams::default().with_overlap_threshold(0.15);
         let collected = crate::phase1::collect(&app, &p);
         let pre = pre_of(&collected.it_trace, &p);
-        let sequential = synthesize(&pre, &p).unwrap();
-        for jobs in [1usize, 2, 4, 16] {
-            let jobs = NonZeroUsize::new(jobs).unwrap();
-            let plain = scheduled(ProbeScheduler::new(jobs), &pre, &p).unwrap();
-            assert_same_outcome("plain", &plain, &sequential);
-            let raced = ProbeScheduler::new(jobs).with_race(HeuristicOptions::default());
-            let raced = scheduled(raced, &pre, &p).unwrap();
-            assert_same_outcome("raced", &raced, &sequential);
+        let out = synthesize(&pre, &p).unwrap();
+        let (mut lo, mut hi) = (out.lower_bound, pre.stats.num_targets());
+        for &(buses, feasible) in &out.probes {
+            assert_eq!(buses, lo + (hi - lo) / 2, "probe order");
+            let found = pre
+                .binding_problem(buses)
+                .find_feasible(&p.solve_limits)
+                .unwrap();
+            assert_eq!(found.is_some(), feasible, "verdict at {buses}");
+            if feasible {
+                hi = buses;
+            } else {
+                lo = buses + 1;
+            }
         }
+        assert_eq!((lo, hi), (out.num_buses, out.num_buses));
     }
 
     #[test]
@@ -820,14 +534,10 @@ mod tests {
         let request = CancelToken::new().child();
 
         let plain_exact = synthesize(&pre, &p).unwrap();
-        for jobs in [1usize, 4] {
-            let scheduler = ProbeScheduler::new(NonZeroUsize::new(jobs).unwrap());
-            let cancellable = scheduler
-                .synthesize(&pre, &p, &request)
-                .unwrap()
-                .expect("un-cancelled token never aborts");
-            assert_same_outcome("cancellable exact", &cancellable, &plain_exact);
-        }
+        let cancellable = synthesize_exact(&pre, &p, &request)
+            .unwrap()
+            .expect("un-cancelled token never aborts");
+        assert_same_outcome("cancellable exact", &cancellable, &plain_exact);
 
         let plain_heur = heuristic(&pre, &p, &CancelToken::new()).unwrap();
         let cancellable_heur =
@@ -843,44 +553,7 @@ mod tests {
         let pre = pre_of(&collected.it_trace, &p);
         let token = CancelToken::new();
         token.cancel();
-        for jobs in [1usize, 4] {
-            let scheduler = ProbeScheduler::new(NonZeroUsize::new(jobs).unwrap());
-            assert!(scheduler.synthesize(&pre, &p, &token).unwrap().is_none());
-        }
+        assert!(synthesize_exact(&pre, &p, &token).unwrap().is_none());
         assert!(heuristic(&pre, &p, &token).is_none());
-    }
-
-    #[test]
-    fn scheduler_wave_leads_with_certain_probe() {
-        let s = ProbeScheduler::new(NonZeroUsize::new(3).unwrap());
-        let known = HashSet::new();
-        // [3, 10): mid 6; feasible branch [3,6) → 4; infeasible [7,10) → 8.
-        assert_eq!(s.wave(3, 10, &known), vec![6, 4, 8]);
-        // One more slot reaches the third level breadth-first.
-        let s4 = ProbeScheduler::new(NonZeroUsize::new(4).unwrap());
-        assert_eq!(s4.wave(3, 10, &known), vec![6, 4, 8, 3]);
-        // Budget 1: no speculation beyond the certain probe.
-        let s1 = ProbeScheduler::new(NonZeroUsize::new(1).unwrap());
-        assert_eq!(s1.wave(3, 10, &known), vec![6]);
-        // Known probes drop out of the wave.
-        let known: HashSet<usize> = [6, 4].into_iter().collect();
-        assert_eq!(s.wave(3, 10, &known), vec![8, 3, 5]);
-    }
-
-    #[test]
-    fn reachable_set_is_the_decision_tree() {
-        let mut reachable = HashSet::new();
-        ProbeScheduler::reachable(3, 10, &mut reachable);
-        // Midpoints of [3,10) and all subintervals.
-        let expected: HashSet<usize> = [6, 4, 3, 5, 8, 7, 9].into_iter().collect();
-        assert_eq!(reachable, expected);
-    }
-
-    #[test]
-    fn scheduler_empty_system() {
-        let tr = Trace::new(0, 0);
-        let p = params(100, 0.3);
-        let out = scheduled(ProbeScheduler::available(), &pre_of(&tr, &p), &p).unwrap();
-        assert_eq!(out.num_buses, 1);
     }
 }

@@ -19,33 +19,23 @@
 //!
 //! Every strategy implements one method,
 //! [`Synthesizer::synthesize_cancellable`], over the one exact path
-//! ([`ProbeScheduler::synthesize`]) and the one heuristic path
+//! ([`synthesize_exact`]) and the one heuristic path
 //! ([`synthesize_heuristic`]); [`Synthesizer::synthesize`] is the
-//! provided root-token convenience. The solver limits — node budget and
-//! pruning level — come from [`DesignParams::solve_limits`]; the
-//! strategies add only what is theirs: an optional node budget override
-//! and the probe parallelism, which [`Synthesizer::probe_width`] reports.
+//! provided root-token convenience. The solver limits come from
+//! [`DesignParams::solve_limits`]; the strategies add only what is
+//! theirs: an optional node budget override and the heuristic's options.
 
 use crate::params::DesignParams;
 use crate::phase2::Preprocessed;
-use crate::phase3::{synthesize_heuristic, ProbeScheduler, SynthesisOutcome};
+use crate::phase3::{synthesize_exact, synthesize_heuristic, SynthesisOutcome};
 use stbus_exec::CancelToken;
 use stbus_milp::{HeuristicOptions, NodeLimitExceeded, SolveLimits};
-use std::num::NonZeroUsize;
 
 /// A phase-3 solving strategy: turns a preprocessed analysis into a
 /// synthesised crossbar for one direction.
 pub trait Synthesizer: Sync {
     /// Short human-readable strategy name (used in reports and logs).
     fn name(&self) -> &'static str;
-
-    /// How many feasibility probes the strategy keeps in flight on the
-    /// process-wide executor; 1 when it searches one probe at a time.
-    /// [`crate::pipeline::Analyzed::synthesize_cancellable`] reads it to
-    /// decide whether the two crossbar directions run concurrently.
-    fn probe_width(&self) -> usize {
-        1
-    }
 
     /// Synthesises the minimum crossbar and its binding under a
     /// cooperative per-request [`CancelToken`]: `Ok(None)` means the
@@ -95,13 +85,6 @@ fn params_with_limits(params: &DesignParams, limits: Option<&SolveLimits>) -> De
 pub struct Exact {
     /// Overrides [`DesignParams::solve_limits`] when set.
     pub limits: Option<SolveLimits>,
-    /// Speculative feasibility-probe parallelism: `None` runs the classic
-    /// sequential binary search (a width-1 [`ProbeScheduler`]); `Some(j)`
-    /// keeps waves of up to `j` probes in flight on the process-wide
-    /// executor ([`crate::exec`]). Outcomes are bit-identical either way
-    /// (the scheduler replays the sequential search against cached probe
-    /// answers), so this is purely a wall-clock knob.
-    pub jobs: Option<NonZeroUsize>,
 }
 
 impl Exact {
@@ -110,25 +93,13 @@ impl Exact {
     pub fn with_limits(limits: SolveLimits) -> Self {
         Self {
             limits: Some(limits),
-            ..Self::default()
         }
-    }
-
-    /// Exact solving with speculative probe parallelism (builder style).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: NonZeroUsize) -> Self {
-        self.jobs = Some(jobs);
-        self
     }
 }
 
 impl Synthesizer for Exact {
     fn name(&self) -> &'static str {
         "exact"
-    }
-
-    fn probe_width(&self) -> usize {
-        self.jobs.map_or(1, NonZeroUsize::get)
     }
 
     fn synthesize_cancellable(
@@ -138,7 +109,7 @@ impl Synthesizer for Exact {
         cancel: &CancelToken,
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
         let params = params_with_limits(params, self.limits.as_ref());
-        ProbeScheduler::new(self.jobs.unwrap_or(NonZeroUsize::MIN)).synthesize(pre, &params, cancel)
+        synthesize_exact(pre, &params, cancel)
     }
 }
 
@@ -177,25 +148,13 @@ impl Synthesizer for Heuristic {
 ///
 /// The outcome's [`SynthesisOutcome::engine`] records which engine
 /// answered, so sweeps can count how often the budget sufficed.
-///
-/// With [`Portfolio::with_jobs`], the exact attempt runs on the parallel
-/// [`ProbeScheduler`] with the deterministic per-probe
-/// exact-vs-heuristic race enabled ([`ProbeScheduler::with_race`]): each
-/// feasibility probe tries the polynomial heuristic first and only calls
-/// the exact solver when the heuristic fails to certify the bus count.
-/// When the exact search is within budget the outcome is bit-identical
-/// to the sequential portfolio; under starvation the raced attempt can
-/// only succeed more often before the heuristic fallback engages.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Portfolio {
     /// Node budget for the exact attempt. Defaults to
     /// [`DesignParams::solve_limits`] when `None`.
     pub exact_limits: Option<SolveLimits>,
-    /// Options for the heuristic fallback (and, in raced mode, for the
-    /// per-probe heuristic pre-pass).
+    /// Options for the heuristic fallback.
     pub heuristic: HeuristicOptions,
-    /// Probe parallelism of the exact attempt; `None` = sequential.
-    pub jobs: Option<NonZeroUsize>,
 }
 
 impl Portfolio {
@@ -207,22 +166,11 @@ impl Portfolio {
             ..Self::default()
         }
     }
-
-    /// Portfolio with parallel raced probes (builder style).
-    #[must_use]
-    pub fn with_jobs(mut self, jobs: NonZeroUsize) -> Self {
-        self.jobs = Some(jobs);
-        self
-    }
 }
 
 impl Synthesizer for Portfolio {
     fn name(&self) -> &'static str {
         "portfolio"
-    }
-
-    fn probe_width(&self) -> usize {
-        self.jobs.map_or(1, NonZeroUsize::get)
     }
 
     fn synthesize_cancellable(
@@ -232,13 +180,7 @@ impl Synthesizer for Portfolio {
         cancel: &CancelToken,
     ) -> Result<Option<SynthesisOutcome>, NodeLimitExceeded> {
         let effective = params_with_limits(params, self.exact_limits.as_ref());
-        // Sequential portfolio = unraced width-1 search; parallel
-        // portfolio keeps the deterministic race.
-        let scheduler = match self.jobs {
-            None => ProbeScheduler::new(NonZeroUsize::MIN),
-            Some(jobs) => ProbeScheduler::new(jobs).with_race(self.heuristic),
-        };
-        match scheduler.synthesize(pre, &effective, cancel) {
+        match synthesize_exact(pre, &effective, cancel) {
             Ok(outcome) => Ok(outcome),
             Err(NodeLimitExceeded { .. }) => {
                 Ok(synthesize_heuristic(pre, params, &self.heuristic, cancel))
@@ -259,20 +201,14 @@ pub enum SolverKind {
 }
 
 impl SolverKind {
-    /// Instantiates the strategy for this kind with explicit probe
-    /// parallelism (`None` = sequential) — what the CLI's and the
-    /// gateway's `jobs` knob plumbs through. The heuristic's upward scan
-    /// has no probes to speculate, so `jobs` is ignored there. The node
-    /// budget and pruning level travel in [`DesignParams::solve_limits`].
+    /// Instantiates the default strategy of this kind. The node budget
+    /// travels in [`DesignParams::solve_limits`].
     #[must_use]
-    pub fn synthesizer(self, jobs: Option<NonZeroUsize>) -> Box<dyn Synthesizer> {
+    pub fn synthesizer(self) -> Box<dyn Synthesizer> {
         match self {
-            SolverKind::Exact => Box::new(Exact { limits: None, jobs }),
+            SolverKind::Exact => Box::new(Exact::default()),
             SolverKind::Heuristic => Box::new(Heuristic::default()),
-            SolverKind::Portfolio => Box::new(Portfolio {
-                jobs,
-                ..Portfolio::default()
-            }),
+            SolverKind::Portfolio => Box::new(Portfolio::default()),
         }
     }
 }
@@ -340,24 +276,23 @@ mod tests {
 
     #[test]
     fn parallel_strategies_match_sequential() {
-        let (pre, params) = mat2_pre();
-        let seq_exact = Exact::default().synthesize(&pre, &params).unwrap();
-        let par_exact = Exact::default()
-            .with_jobs(NonZeroUsize::new(8).unwrap())
-            .synthesize(&pre, &params)
-            .unwrap();
-        assert_eq!(par_exact.probes, seq_exact.probes);
-        assert_eq!(par_exact.binding, seq_exact.binding);
-        assert_eq!(par_exact.engine, seq_exact.engine);
-
-        let seq_pf = Portfolio::default().synthesize(&pre, &params).unwrap();
-        let par_pf = Portfolio::default()
-            .with_jobs(NonZeroUsize::new(8).unwrap())
-            .synthesize(&pre, &params)
-            .unwrap();
-        assert_eq!(par_pf.probes, seq_pf.probes);
-        assert_eq!(par_pf.binding, seq_pf.binding);
-        assert_eq!(par_pf.engine, SynthesisEngine::Exact);
+        // The pipeline solves the two directions concurrently; each must
+        // equal the strategy run alone on that direction, and a portfolio
+        // within budget must equal the exact search.
+        let app = workloads::matrix::mat2(42);
+        let params = DesignParams::default();
+        let analyzed = crate::Pipeline::collect(&app, &params).analyze(&params);
+        let strategies: [&dyn Synthesizer; 2] = [&Exact::default(), &Portfolio::default()];
+        for strategy in strategies {
+            let both = analyzed.synthesize(strategy).unwrap();
+            for (concurrent, pre) in [(&both.it, analyzed.pre_it()), (&both.ti, analyzed.pre_ti())]
+            {
+                let alone = Exact::default().synthesize(pre, &params).unwrap();
+                assert_eq!(concurrent.probes, alone.probes, "{}", strategy.name());
+                assert_eq!(concurrent.binding, alone.binding, "{}", strategy.name());
+                assert_eq!(concurrent.engine, SynthesisEngine::Exact);
+            }
+        }
     }
 
     #[test]
@@ -368,7 +303,7 @@ mod tests {
             ("portfolio", SolverKind::Portfolio),
         ] {
             assert_eq!(text.parse::<SolverKind>().unwrap(), kind);
-            assert_eq!(kind.synthesizer(None).name(), text);
+            assert_eq!(kind.synthesizer().name(), text);
         }
         assert!("cplex".parse::<SolverKind>().is_err());
     }

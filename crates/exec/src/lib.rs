@@ -1,12 +1,12 @@
 //! One process-wide work-stealing executor under every parallel layer.
 //!
-//! Before this crate, the toolkit had three independent parallel front
-//! ends — the `Batch` design-space runner, the phase-3 probe scheduler
-//! and the heuristic's annealing-repair restarts — each spinning up its
-//! own scoped pool. Stacked pools waste cores: a batch with fewer design
-//! points than cores pinned its parallelism to the batch width while the
-//! leftover cores idled. This crate replaces all of them with a single
-//! executor the whole process shares:
+//! Every parallel layer of the toolkit — the `Batch` design-space runner,
+//! phase 3's two crossbar directions and the heuristic's annealing-repair
+//! restarts — submits to this one executor instead of spinning up a
+//! scoped pool of its own. Stacked pools waste cores: a batch with fewer
+//! design points than cores would pin its parallelism to the batch width
+//! while the leftover cores idled. The executor the whole process shares
+//! has:
 //!
 //! * **per-worker deques + a global injector** — tasks submitted from a
 //!   worker thread land on that worker's own deque (popped LIFO, so
@@ -23,13 +23,6 @@
 //! * **cooperative cancellation** — every submitted task receives a
 //!   [`CancelToken`] child of its scope; cancelling a task (or the whole
 //!   scope) flips a flag the task polls at its own checkpoints;
-//! * **two-level priorities** — [`TaskScope::promote`] re-injects a
-//!   task's claim ticket into a priority lane that every worker drains
-//!   ahead of its own deque, the injector and steals. Consumers promote
-//!   the task they will block on next (the probe scheduler's
-//!   consume-next probe), so deep speculative backlog cannot starve the
-//!   result on the critical path. Priorities are scheduling hints only:
-//!   claim-once tickets keep results bit-identical in any drain order;
 //! * **result streaming** — [`map_streaming`] delivers results to a sink
 //!   in input order as they complete, with a bounded look-ahead window,
 //!   so batch runners and gateway sweeps emit early rows while later
@@ -44,8 +37,8 @@
 //! stolen, can therefore never change a caller's answer — provided each
 //! task is a pure function of its inputs, a property every caller in
 //! this workspace maintains and its equivalence suites prove
-//! (`pipeline_equivalence`, `probe_scheduler_equivalence`,
-//! `pruned_solver_equivalence` pass bit-identically at every worker
+//! (`pipeline_equivalence`, `pruned_solver_equivalence` and
+//! `incremental_equivalence` pass bit-identically at every worker
 //! count). A width of 1 short-circuits to a plain sequential loop on the
 //! calling thread: no tasks, no threads, bit-identical by construction.
 //!
@@ -69,13 +62,13 @@
 //! [`std::thread::available_parallelism`], overridable with the
 //! `STBUS_EXEC_WORKERS` environment variable (CI uses this to force a
 //! 2-worker run so contention paths execute on every host) and growable
-//! at runtime with [`ensure_workers`]. Workers are daemon threads; they
-//! live for the process.
+//! at runtime with [`ensure_workers`] (the CLI's `--jobs` does that).
+//! Workers are daemon threads; they live for the process.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem;
@@ -83,7 +76,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // --------------------------------------------------------------------------
 // Cancellation
@@ -158,7 +151,7 @@ impl CancelToken {
     /// `self`, `other`, or any of their ancestors is. This is how a task
     /// inside a [`scope`] also observes an authority *outside* the scope
     /// tree — e.g. a per-request token of a long-running service, so a
-    /// dropped request aborts its speculative solver work mid-solve even
+    /// dropped request aborts its solver work mid-solve even
     /// though the tasks were spawned under the scope's own root.
     #[must_use]
     pub fn child_linked(&self, other: &CancelToken) -> Self {
@@ -203,23 +196,7 @@ struct Shard {
     queue: Mutex<VecDeque<Task>>,
 }
 
-/// Time-weighted busy-worker accounting: `acc` accumulates
-/// `busy × elapsed` (worker·seconds) across every busy-count transition,
-/// so `busy_integral() / wall_seconds` is the *average* worker occupancy
-/// over a measurement window. On a 1-core host `peak_busy` saturates at 1
-/// and says nothing about utilisation; the integral still distinguishes
-/// "one worker pegged the whole run" from "one worker busy 10% of it".
-#[derive(Default)]
-struct BusyClock {
-    last: Option<Instant>,
-    acc: f64,
-}
-
 struct Registry {
-    /// Promoted claim tickets, drained ahead of every other queue: the
-    /// priority lane for results a consumer is about to block on (see
-    /// [`TaskScope::promote`]).
-    priority: Mutex<VecDeque<Task>>,
     /// Tasks submitted from non-worker threads, drained FIFO.
     injector: Mutex<VecDeque<Task>>,
     /// Grow-only list of worker deques (stealing scans a snapshot).
@@ -229,13 +206,6 @@ struct Registry {
     /// wakeups cannot be lost.
     park: Mutex<()>,
     wake: Condvar,
-    /// Threads currently executing task code (helpers included, nested
-    /// helps and waits excluded) and its high-water mark — the worker
-    /// occupancy the saturation bench snapshots.
-    busy: AtomicUsize,
-    peak_busy: AtomicUsize,
-    /// Time-weighted busy integral (bench instrumentation).
-    busy_clock: Mutex<BusyClock>,
     /// Target worker count ([`ensure_workers`] grows it).
     target: AtomicUsize,
     spawned: Mutex<usize>,
@@ -246,8 +216,6 @@ static REGISTRY: OnceLock<Registry> = OnceLock::new();
 thread_local! {
     /// The shard of the current thread, when it is an executor worker.
     static WORKER_SHARD: RefCell<Option<Arc<Shard>>> = const { RefCell::new(None) };
-    /// Whether the current thread is presently counted in `busy`.
-    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Ignores mutex poisoning: tasks run under `catch_unwind`, so a
@@ -256,6 +224,15 @@ thread_local! {
 /// always sound here and avoids aborts from double panics during unwind.
 fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A scope wait's blocking step: sleeps on `cv` until a task of the group
+/// completes. The timeout is belt and braces only, like the workers'
+/// park.
+fn wait<'m, T>(guard: MutexGuard<'m, T>, cv: &Condvar) -> MutexGuard<'m, T> {
+    cv.wait_timeout(guard, Duration::from_millis(50))
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
 }
 
 /// The worker count the executor targets: `STBUS_EXEC_WORKERS` when set
@@ -282,8 +259,8 @@ fn configured_width() -> usize {
 }
 
 /// Grows the executor to at least `workers` worker threads (never
-/// shrinks). The saturation bench uses this so scheduling behaviour is
-/// observable even on small hosts; ordinary callers never need it.
+/// shrinks). The threads live for the process, so only an operator's
+/// setting (the CLI's `--jobs`) should call this, never a request.
 pub fn ensure_workers(workers: usize) {
     let registry = registry();
     registry.target.fetch_max(workers, Ordering::Relaxed);
@@ -296,60 +273,12 @@ pub fn workers() -> usize {
     *lock(&registry().spawned)
 }
 
-/// Resets the [`peak_busy`] high-water mark (bench instrumentation).
-pub fn reset_peak_busy() {
-    let registry = registry();
-    registry
-        .peak_busy
-        .store(registry.busy.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
-/// High-water mark of threads simultaneously executing task code since
-/// the last [`reset_peak_busy`] — threads blocked in a scope wait are
-/// not counted, helping threads are.
-#[must_use]
-pub fn peak_busy() -> usize {
-    registry().peak_busy.load(Ordering::Relaxed)
-}
-
-/// Restarts the time-weighted busy integral at zero (bench
-/// instrumentation; pair with [`busy_integral`] around a measured
-/// region).
-pub fn reset_busy_integral() {
-    let registry = registry();
-    let mut clock = lock(&registry.busy_clock);
-    clock.acc = 0.0;
-    clock.last = Some(Instant::now());
-}
-
-/// Worker·seconds of task execution since the last
-/// [`reset_busy_integral`]: the integral of the busy-worker count over
-/// wall time. Dividing by the elapsed wall seconds gives average worker
-/// occupancy — meaningful even where `peak_busy` saturates (e.g. every
-/// value is 1 on a 1-core host).
-#[must_use]
-pub fn busy_integral() -> f64 {
-    let registry = registry();
-    let busy = registry.busy.load(Ordering::Relaxed);
-    let mut clock = lock(&registry.busy_clock);
-    let now = Instant::now();
-    if let Some(last) = clock.last {
-        clock.acc += busy as f64 * now.duration_since(last).as_secs_f64();
-    }
-    clock.last = Some(now);
-    clock.acc
-}
-
 fn registry() -> &'static Registry {
     let registry = REGISTRY.get_or_init(|| Registry {
-        priority: Mutex::new(VecDeque::new()),
         injector: Mutex::new(VecDeque::new()),
         shards: Mutex::new(Vec::new()),
         park: Mutex::new(()),
         wake: Condvar::new(),
-        busy: AtomicUsize::new(0),
-        peak_busy: AtomicUsize::new(0),
-        busy_clock: Mutex::new(BusyClock::default()),
         target: AtomicUsize::new(configured_width()),
         spawned: Mutex::new(0),
     });
@@ -377,7 +306,7 @@ impl Registry {
         WORKER_SHARD.with(|slot| *slot.borrow_mut() = Some(Arc::clone(&shard)));
         loop {
             match self.find_task() {
-                Some(task) => self.run_task(task),
+                Some(task) => task(),
                 None => {
                     // Re-scan under the park mutex: every inject notifies
                     // under it, so a task queued between the failed find
@@ -395,14 +324,9 @@ impl Registry {
         }
     }
 
-    /// Pops one runnable task: the priority lane first (promoted
-    /// consume-next tickets preempt everything, including the local
-    /// deque's speculative depth-first work), then own deque LIFO, then
-    /// the injector FIFO, then steal FIFO from any other worker's deque.
+    /// Pops one runnable task: own deque LIFO, then the injector FIFO,
+    /// then steal FIFO from any other worker's deque.
     fn find_task(&self) -> Option<Task> {
-        if let Some(task) = lock(&self.priority).pop_front() {
-            return Some(task);
-        }
         let own = WORKER_SHARD.with(|slot| slot.borrow().clone());
         if let Some(shard) = &own {
             if let Some(task) = lock(&shard.queue).pop_back() {
@@ -427,7 +351,7 @@ impl Registry {
     }
 
     fn any_queued(&self) -> bool {
-        if !lock(&self.priority).is_empty() || !lock(&self.injector).is_empty() {
+        if !lock(&self.injector).is_empty() {
             return true;
         }
         let shards: Vec<Arc<Shard>> = lock(&self.shards).clone();
@@ -448,85 +372,16 @@ impl Registry {
         self.wake.notify_all();
     }
 
-    /// Queues a task into the priority lane, ahead of every deque and
-    /// the regular injector. Used only for duplicate claim tickets
-    /// ([`TaskScope::promote`]): claim-once semantics make the duplicate
-    /// harmless, and the lane jump means the next free worker runs the
-    /// promoted body before any speculative backlog.
-    fn inject_priority(&self, task: Task) {
-        lock(&self.priority).push_back(task);
-        let _guard = lock(&self.park);
-        self.wake.notify_all();
-    }
-
-    /// Runs one task with busy accounting: the outermost task on a
-    /// thread marks it busy; nested helps on the same thread do not
-    /// double-count.
-    fn run_task(&self, task: Task) {
-        let was_active = ACTIVE.with(Cell::get);
-        if !was_active {
-            self.mark_busy();
-        }
-        task();
-        if !was_active {
-            self.mark_idle();
-        }
-    }
-
-    fn mark_busy(&self) {
-        ACTIVE.with(|a| a.set(true));
-        let before = self.busy.fetch_add(1, Ordering::Relaxed);
-        self.advance_clock(before);
-        self.peak_busy.fetch_max(before + 1, Ordering::Relaxed);
-    }
-
-    fn mark_idle(&self) {
-        ACTIVE.with(|a| a.set(false));
-        let before = self.busy.fetch_sub(1, Ordering::Relaxed);
-        self.advance_clock(before);
-    }
-
-    /// Accumulates `busy_before × elapsed` into the busy integral at a
-    /// busy-count transition. Instrumentation only: the count and the
-    /// clock are not updated atomically together, so concurrent
-    /// transitions can misattribute microseconds — irrelevant at the
-    /// seconds-long bench windows this feeds.
-    fn advance_clock(&self, busy_before: usize) {
-        let mut clock = lock(&self.busy_clock);
-        let now = Instant::now();
-        if let Some(last) = clock.last {
-            clock.acc += busy_before as f64 * now.duration_since(last).as_secs_f64();
-        }
-        clock.last = Some(now);
-    }
-
     /// Runs one queued task if any exists; the helping half of every
     /// scope wait.
     fn help_one(&self) -> bool {
         match self.find_task() {
             Some(task) => {
-                self.run_task(task);
+                task();
                 true
             }
             None => false,
         }
-    }
-
-    /// Condvar wait that steps out of the busy count while blocked, so
-    /// the occupancy metric reflects threads doing work, not threads
-    /// parked inside a scope wait.
-    fn paused_wait<'m, T>(&self, guard: MutexGuard<'m, T>, cv: &Condvar) -> MutexGuard<'m, T> {
-        let was_active = ACTIVE.with(Cell::get);
-        if was_active {
-            self.mark_idle();
-        }
-        let (guard, _) = cv
-            .wait_timeout(guard, Duration::from_millis(50))
-            .unwrap_or_else(PoisonError::into_inner);
-        if was_active {
-            self.mark_busy();
-        }
-        guard
     }
 }
 
@@ -581,8 +436,8 @@ struct GroupState<R> {
     /// Unstarted task bodies, indexed like `slots`. The queues hold only
     /// claim *tickets*; whoever claims a body first — a worker popping
     /// the ticket, or the consumer in [`TaskScope::take`] — runs it, so
-    /// a consumer never burns time executing queued speculation while
-    /// the task it actually waits for sits unstarted.
+    /// a consumer never burns time executing other queued work while the
+    /// task it actually waits for sits unstarted.
     bodies: Vec<Option<Task>>,
     unfinished: usize,
     /// Panic payloads of never-consumed tasks, parked here by the scope
@@ -633,7 +488,7 @@ impl<R> Group<R> {
             if !registry.help_one() {
                 let state = lock(&self.state);
                 if state.unfinished > 0 {
-                    let _state = registry.paused_wait(state, &self.progress);
+                    let _state = wait(state, &self.progress);
                 }
             }
         }
@@ -705,34 +560,6 @@ impl<'scope, 'env, R: Send + 'env> TaskScope<'scope, 'env, R> {
         index
     }
 
-    /// Bumps the task at `index` into the executor's priority lane: the
-    /// next free worker runs it before any regular queued work. Call
-    /// this for the result a consumer will block on next (e.g. the probe
-    /// scheduler's consume-next probe) so deep speculative backlog
-    /// cannot starve it.
-    ///
-    /// Purely a scheduling hint — what travels is a *duplicate* claim
-    /// ticket, and bodies are claimed exactly once, so promoting a task
-    /// that already ran (or that the consumer claims inline first) is a
-    /// harmless no-op and results are bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` was not returned by this scope's `submit`.
-    pub fn promote(&self, index: usize) {
-        assert!(
-            index < lock(&self.group.state).slots.len(),
-            "promote({index}) out of range"
-        );
-        let group = Arc::clone(&self.group);
-        let ticket: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            if let Some(body) = group.claim(index) {
-                body();
-            }
-        });
-        registry().inject_priority(erase_task(ticket));
-    }
-
     /// Cancels the task at `index` (cooperative: the task notices at its
     /// next poll; its slot still resolves).
     ///
@@ -784,16 +611,16 @@ impl<'scope, 'env, R: Send + 'env> TaskScope<'scope, 'env, R> {
             }
             // Consumer priority: if the task we wait for has not started
             // anywhere, claim its body and run it inline — never spend
-            // the wait executing queued speculation instead of the one
+            // the wait executing other queued work instead of the one
             // answer the caller needs next.
             if let Some(body) = self.group.claim(index) {
-                registry.run_task(body);
+                body();
                 continue;
             }
             if !registry.help_one() {
                 let state = lock(&self.group.state);
                 if matches!(state.slots[index], Slot::Pending) {
-                    let _state = registry.paused_wait(state, &self.group.progress);
+                    let _state = wait(state, &self.group.progress);
                 }
             }
         }
@@ -834,7 +661,7 @@ where
     }
     impl<R: Send> Drop for DrainGuard<'_, R> {
         fn drop(&mut self) {
-            // Unconsumed speculation is abandoned at scope exit; the
+            // Unconsumed tasks are cancelled at scope exit; the
             // drain below upholds the lifetime-erasure invariant on both
             // the normal and the unwinding path. The leftover result
             // values are dropped *here*, still inside `'env`, so stale
@@ -947,7 +774,7 @@ where
 /// per-candidate rows into its response as they land. The consuming
 /// thread helps run queued tasks while it waits, and the next result it
 /// needs is claimed inline if unstarted ([`TaskScope::take`]'s consumer
-/// priority), so streaming never idles behind speculation.
+/// priority), so streaming never idles behind its own look-ahead.
 ///
 /// Determinism: `sink` observes exactly the pairs `(i, f(&items[i]))` in
 /// increasing `i` — bit-identical to a sequential loop for pure `f` at
@@ -1152,46 +979,6 @@ mod tests {
     fn map_streaming_empty_input() {
         let none: Vec<u32> = Vec::new();
         map_streaming(&none, 4, |&x| x, |_, _| panic!("no items, no calls"));
-    }
-
-    #[test]
-    fn promote_is_a_harmless_hint() {
-        // Promoting before, after, and instead of taking never changes
-        // results; duplicates of already-run bodies are no-ops.
-        let values = scope(|s: &TaskScope<'_, '_, usize>| {
-            let ids: Vec<usize> = (0..16).map(|i| s.submit(move |_| i * 7)).collect();
-            for &id in ids.iter().rev() {
-                s.promote(id);
-            }
-            s.promote(ids[3]);
-            ids.iter().map(|&id| s.take(id)).collect::<Vec<_>>()
-        });
-        assert_eq!(values, (0..16).map(|i| i * 7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn promote_rejects_unknown_index() {
-        scope(|s: &TaskScope<'_, '_, ()>| s.promote(5));
-    }
-
-    #[test]
-    fn busy_integral_accumulates() {
-        reset_busy_integral();
-        let items: Vec<u64> = (0..64).collect();
-        let total: u64 = map(&items, 4, |&x| {
-            // Enough work to register on the clock.
-            let mut acc = x;
-            for i in 0..200_000u64 {
-                acc = acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(i);
-            }
-            std::hint::black_box(acc);
-            x
-        })
-        .iter()
-        .sum();
-        assert_eq!(total, (0..64).sum::<u64>());
-        assert!(busy_integral() > 0.0);
     }
 
     #[test]

@@ -29,10 +29,11 @@
 //! | `GET /stats` | — | queue, request, cache and per-tenant counters |
 //! | `POST /shutdown` | — | `{"shutting_down":true}`, then drains |
 //!
-//! `"jobs"` (probe and sweep parallelism, result-invariant) may ride on
-//! every work route and is capped at [`wire::MAX_JOBS`] (256): a larger
-//! value answers `400`, since each request's width grows the shared
-//! executor and its threads never exit.
+//! `"jobs"` may ride on every work route and is capped at
+//! [`wire::MAX_JOBS`] (256): a larger value answers `400`. Only `/sweep`
+//! reads it, as how many thresholds evaluate at once (result-invariant);
+//! no request grows the shared executor, which the operator sizes with
+//! `stbus serve --jobs`.
 //!
 //! The input spec names exactly one of `"trace"` (interchange-format
 //! text, designs **one** direction — the response body is byte-identical
@@ -79,8 +80,8 @@
 //! `add_targets` appends empty ones (populate them via `edits`),
 //! `delta.threshold` moves θ. The artifact pins everything else —
 //! workload, window plan, solver — so those knobs are rejected
-//! alongside `"artifact"`; only `"jobs"` (result-invariant parallelism)
-//! may ride along. The gateway answers with the same response shape and
+//! alongside `"artifact"`; only `"jobs"` (parsed, without effect) may
+//! ride along. The gateway answers with the same response shape and
 //! a fresh chained `"artifact"`, so edits compose. Execution skips
 //! phases 1–2 (the stored analysis is patched in `O(touched × targets)`)
 //! and phase 3 is warm-started from the previous bindings: **verdicts,
@@ -118,7 +119,7 @@
 //! Every admitted job carries a root `CancelToken` threaded through the
 //! solver layers. A dropped connection (EOF while waiting, or a failed
 //! stream write) raises the token and the search stops at its next poll
-//! — speculation is abandoned mid-solve. Sweeps poll the client between
+//! — the solve is abandoned mid-search. Sweeps poll the client between
 //! θ points too, so a consumer that walked away stops the stream at the
 //! next point boundary. `POST /shutdown` (or [`Gateway::shutdown`])
 //! stops accepting, answers queued jobs `503` with their tokens raised,

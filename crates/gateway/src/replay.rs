@@ -54,8 +54,8 @@ use std::num::NonZeroUsize;
 /// ```
 pub struct ReplayEngine {
     routes: Routes,
-    /// Probe-parallelism override for every replayed solve (`--jobs`);
-    /// `None` replays each record at its recorded width. Result-invariant
+    /// Sweep-width override for every replayed `/sweep` (`--jobs`);
+    /// `None` replays each sweep at its recorded `"jobs"`. Result-invariant
     /// either way — the determinism contract is the point of replay.
     jobs: Option<NonZeroUsize>,
     /// Never cancelled: replay always runs requests to completion.

@@ -135,18 +135,6 @@ pub(crate) fn record_kind(work: &WorkRequest) -> RecordKind {
     }
 }
 
-/// Grows the shared executor when a request asks for more parallelism,
-/// mirroring the CLI's `--jobs` handling; returns the effective probe
-/// width (`None` on the request = the executor's width).
-fn effective_jobs(jobs: Option<NonZeroUsize>) -> Option<NonZeroUsize> {
-    if let Some(jobs) = jobs {
-        if jobs.get() > 1 {
-            stbus_exec::ensure_workers(jobs.get());
-        }
-    }
-    jobs.or_else(|| NonZeroUsize::new(stbus_exec::parallelism()))
-}
-
 /// What every route runs against: the front-half caches and the
 /// re-synthesis artifact store. The live server holds one bounded by
 /// [`crate::GatewayConfig::cache_entries`]; each replay engine holds an
@@ -171,9 +159,9 @@ impl Routes {
 
     /// Runs `work` to its response body: one JSON document without its
     /// trailing newline, or for a sweep every stream line, concatenated.
-    /// `jobs` overrides the request's own `"jobs"` (replay's `--jobs`);
-    /// widths never change a result. `cancel` ends the run at the
-    /// solver's next poll.
+    /// `jobs` overrides a sweep's own `"jobs"` (replay's `--jobs`);
+    /// widths never change a result, and no width grows the executor.
+    /// `cancel` ends the run at the solver's next poll.
     pub(crate) fn run(
         &self,
         work: &WorkRequest,
@@ -182,10 +170,10 @@ impl Routes {
         sink: &mut dyn Sink,
     ) -> Result<String, RouteError> {
         match work {
-            WorkRequest::Synthesize(request) => self.synthesize(request, jobs, cancel),
-            WorkRequest::Delta(request) => self.delta(request, jobs, cancel),
+            WorkRequest::Synthesize(request) => self.synthesize(request, cancel),
+            WorkRequest::Delta(request) => self.delta(request, cancel),
             WorkRequest::Sweep(request) => self.sweep(request, jobs, cancel, sink),
-            WorkRequest::Suite(request) => self.suite(request, jobs, cancel),
+            WorkRequest::Suite(request) => self.suite(request, cancel),
         }
     }
 
@@ -196,12 +184,9 @@ impl Routes {
     fn synthesize(
         &self,
         request: &SynthesizeRequest,
-        jobs: Option<NonZeroUsize>,
         cancel: &CancelToken,
     ) -> Result<String, RouteError> {
-        let strategy = request
-            .solver
-            .synthesizer(effective_jobs(jobs.or(request.jobs)));
+        let strategy = request.solver.synthesizer();
         let solver = request.solver.to_string();
         let spec = match &request.work {
             WorkSpec::Trace(trace) => {
@@ -228,19 +213,12 @@ impl Routes {
     /// A delta `/synthesize`: resolve the artifact, patch the analysis
     /// in `O(touched × targets)`, warm-start phase 3 per direction and
     /// deposit the result under the chained address.
-    fn delta(
-        &self,
-        request: &DeltaRequest,
-        jobs: Option<NonZeroUsize>,
-        cancel: &CancelToken,
-    ) -> Result<String, RouteError> {
+    fn delta(&self, request: &DeltaRequest, cancel: &CancelToken) -> Result<String, RouteError> {
         let stored = self
             .artifacts
             .get(&request.artifact)
             .ok_or(RouteError::ArtifactMiss)?;
-        let strategy = stored
-            .solver
-            .synthesizer(effective_jobs(jobs.or(request.jobs)));
+        let strategy = stored.solver.synthesizer();
         let re = stored
             .reanalyze(&request.delta)
             .map_err(|e| RouteError::BadRequest(format!("delta: {e}")))?;
@@ -304,8 +282,7 @@ impl Routes {
         sink: &mut dyn Sink,
     ) -> Result<String, RouteError> {
         let base = &request.base;
-        let jobs = effective_jobs(jobs.or(base.jobs));
-        let strategy = base.solver.synthesizer(jobs);
+        let strategy = base.solver.synthesizer();
         let solver = base.solver.to_string();
         let front = match &base.work {
             WorkSpec::Trace(trace) => {
@@ -342,7 +319,8 @@ impl Routes {
         let mut completed = true;
         exec::map_streaming(
             &request.thresholds,
-            jobs.map_or(1, NonZeroUsize::get),
+            jobs.or(request.jobs)
+                .map_or_else(exec::parallelism, NonZeroUsize::get),
             point,
             |i, point| {
                 let fields = match point {
@@ -371,15 +349,8 @@ impl Routes {
     /// `/suite`: the five paper rows, each application at its paper
     /// parameters exactly as in `stbus suite`, so the rows diff clean
     /// against the CLI.
-    fn suite(
-        &self,
-        request: &SuiteRequest,
-        jobs: Option<NonZeroUsize>,
-        cancel: &CancelToken,
-    ) -> Result<String, RouteError> {
-        let strategy = request
-            .solver
-            .synthesizer(effective_jobs(jobs.or(request.jobs)));
+    fn suite(&self, request: &SuiteRequest, cancel: &CancelToken) -> Result<String, RouteError> {
+        let strategy = request.solver.synthesizer();
         let solver = request.solver.to_string();
         let suite = WorkloadSpec::paper_suite(request.seed);
         let mut rows = Vec::with_capacity(suite.len());

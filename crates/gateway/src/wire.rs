@@ -18,8 +18,9 @@
 //! Common knobs mirror the CLI flags one-for-one: `"window"` (u64 ≥ 1),
 //! `"threshold"` (finite, ≥ 0), `"maxtb"` (≥ 1), `"response_scale"`
 //! (finite, > 0), `"solver"` (`exact|heuristic|portfolio`) and `"jobs"`
-//! (1 to [`MAX_JOBS`]). `/sweep` adds `"thresholds"`: a non-empty array
-//! of valid thresholds, streamed one result line each. `/suite` takes only
+//! (1 to [`MAX_JOBS`]; only a sweep reads it). `/sweep` adds
+//! `"thresholds"`: a non-empty array of valid thresholds, streamed one
+//! result line each. `/suite` takes only
 //! `"solver"`, `"jobs"` and `"seed"` — the per-application parameters
 //! are pinned to the paper's, exactly as in `stbus suite`.
 //!
@@ -131,8 +132,6 @@ pub struct SynthesizeRequest {
     pub params: DesignParams,
     /// Synthesis strategy.
     pub solver: SolverKind,
-    /// Probe parallelism (`None` = executor width, as in the CLI).
-    pub jobs: Option<NonZeroUsize>,
 }
 
 /// A validated `/sweep` request: the base request plus the θ grid.
@@ -142,6 +141,9 @@ pub struct SweepRequest {
     pub base: SynthesizeRequest,
     /// Overlap thresholds, streamed in order.
     pub thresholds: Vec<f64>,
+    /// How many thresholds evaluate at once (`None` = the executor's
+    /// width). Result-invariant.
+    pub jobs: Option<NonZeroUsize>,
 }
 
 /// A validated `/suite` request.
@@ -151,16 +153,14 @@ pub struct SuiteRequest {
     pub solver: SolverKind,
     /// Base seed for the paper suite generators.
     pub seed: u64,
-    /// Probe parallelism.
-    pub jobs: Option<NonZeroUsize>,
 }
 
 /// A validated incremental re-synthesis request: a prior artifact's
 /// content address plus the workload delta to apply to it.
 ///
 /// The referenced artifact pins the application, parameters and solver
-/// of the base request; a delta request may override only
-/// `"jobs"` (execution-side, result-invariant). Everything the delta
+/// of the base request; a delta request may add only `"jobs"`, which is
+/// checked like every route's and has no effect. Everything the delta
 /// changes — trace edits, added/removed targets, a new θ — travels in
 /// the `"delta"` object (see [`parse_delta_spec`] for the wire shape).
 #[derive(Debug, Clone)]
@@ -170,8 +170,6 @@ pub struct DeltaRequest {
     pub artifact: String,
     /// The structural workload change to apply.
     pub delta: WorkloadDelta,
-    /// Probe parallelism override (`None` = executor width).
-    pub jobs: Option<NonZeroUsize>,
 }
 
 /// Any admitted unit of work.
@@ -309,9 +307,10 @@ fn parse_solver(obj: &Value) -> Result<SolverKind, String> {
     }
 }
 
-/// The largest `"jobs"` a request may ask for. A request's width grows
-/// the process-wide executor, whose threads never exit, so an unbounded
-/// value would let one body ask for a million OS threads.
+/// The largest `"jobs"` a request may ask for. Every route checks it, so
+/// recorded journals that carry it still parse; only a sweep reads it, as
+/// how many of its points are queued at once. A request never grows the
+/// process-wide executor (only the operator's `--jobs` does).
 pub const MAX_JOBS: usize = 256;
 
 fn parse_jobs(obj: &Value) -> Result<Option<NonZeroUsize>, String> {
@@ -460,10 +459,10 @@ pub fn parse_delta(body: &str) -> Result<DeltaRequest, String> {
             ));
         }
     }
+    parse_jobs(&obj)?;
     Ok(DeltaRequest {
         artifact: artifact.to_ascii_lowercase(),
         delta: parse_delta_spec(&obj)?,
-        jobs: parse_jobs(&obj)?,
     })
 }
 
@@ -474,11 +473,11 @@ pub fn parse_delta(body: &str) -> Result<DeltaRequest, String> {
 /// A client-facing message (the `400` body) on any malformed field.
 pub fn parse_synthesize(body: &str) -> Result<SynthesizeRequest, String> {
     let obj = parse_object(body)?;
+    parse_jobs(&obj)?;
     Ok(SynthesizeRequest {
         work: parse_work(&obj)?,
         params: parse_params(&obj)?,
         solver: parse_solver(&obj)?,
-        jobs: parse_jobs(&obj)?,
     })
 }
 
@@ -524,9 +523,9 @@ pub fn parse_sweep(body: &str) -> Result<SweepRequest, String> {
             work: parse_work(&obj)?,
             params: parse_params(&obj)?,
             solver: parse_solver(&obj)?,
-            jobs: parse_jobs(&obj)?,
         },
         thresholds,
+        jobs: parse_jobs(&obj)?,
     })
 }
 
@@ -538,10 +537,10 @@ pub fn parse_sweep(body: &str) -> Result<SweepRequest, String> {
 pub fn parse_suite(body: &str) -> Result<SuiteRequest, String> {
     let obj = parse_object(body)?;
     reject_removed_knobs(&obj)?;
+    parse_jobs(&obj)?;
     Ok(SuiteRequest {
         solver: parse_solver(&obj)?,
         seed: field_u64(&obj, "seed", 0)?.unwrap_or(DEFAULT_SEED),
-        jobs: parse_jobs(&obj)?,
     })
 }
 
@@ -613,7 +612,6 @@ mod tests {
         };
         assert_eq!(trace.len(), app.trace.len());
         assert_eq!(req.solver, SolverKind::Portfolio);
-        assert_eq!(req.jobs.map(NonZeroUsize::get), Some(2));
     }
 
     #[test]
@@ -623,6 +621,9 @@ mod tests {
         assert!(parse_sweep(r#"{"suite":"mat2","thresholds":[0.1,-0.2]}"#).is_err());
         let req = parse_sweep(r#"{"suite":"mat2","thresholds":[0.1,0.2]}"#).unwrap();
         assert_eq!(req.thresholds, vec![0.1, 0.2]);
+        assert!(req.jobs.is_none());
+        let req = parse_sweep(r#"{"suite":"mat2","thresholds":[0.1],"jobs":2}"#).unwrap();
+        assert_eq!(req.jobs.map(NonZeroUsize::get), Some(2));
     }
 
     #[test]
@@ -655,7 +656,6 @@ mod tests {
             panic!("expected delta route")
         };
         assert_eq!(req.artifact, "abcdef0123456789");
-        assert_eq!(req.jobs.map(NonZeroUsize::get), Some(4));
         assert_eq!(req.delta.add_targets, 1);
         assert_eq!(req.delta.removed, vec![TargetId::new(2)]);
         assert_eq!(req.delta.threshold, Some(0.2));
@@ -675,7 +675,6 @@ mod tests {
     fn delta_request_defaults_to_the_noop_delta() {
         let req = parse_delta(r#"{"artifact":"00ff"}"#).unwrap();
         assert_eq!(req.delta, WorkloadDelta::empty());
-        assert!(req.jobs.is_none());
     }
 
     #[test]
@@ -734,7 +733,9 @@ mod tests {
             assert!(parse_suite(&suite).is_err(), "{suite}");
         }
         assert!(parse_suite(&format!(r#"{{"jobs":{}}}"#, u64::MAX)).is_err());
-        let req = parse_suite(&format!(r#"{{"jobs":{MAX_JOBS}}}"#)).unwrap();
+        assert!(parse_suite(&format!(r#"{{"jobs":{MAX_JOBS}}}"#)).is_ok());
+        let sweep = format!(r#"{{"suite":"mat2","thresholds":[0.1],"jobs":{MAX_JOBS}}}"#);
+        let req = parse_sweep(&sweep).unwrap();
         assert_eq!(req.jobs.map(NonZeroUsize::get), Some(MAX_JOBS));
     }
 

@@ -171,9 +171,9 @@ impl Error for NodeLimitExceeded {}
 
 /// Why a cancellable search stopped before reaching a definitive answer.
 ///
-/// Speculative callers (the phase-3 probe scheduler) solve bindings whose
-/// answers may become irrelevant while they are being computed; the
-/// executor's [`CancelToken`] threads through
+/// Callers solve bindings whose answers may become irrelevant while they
+/// are being computed (a gateway client hangs up, or the other phase-3
+/// direction fails); the [`CancelToken`] threads through
 /// [`BindingProblem::find_feasible_stats_cancellable`], and raising it makes
 /// the search bail at the next node-count checkpoint instead of
 /// finishing a proof nobody will read.

@@ -25,11 +25,10 @@
 //!
 //! The whole search is cooperatively cancellable
 //! ([`solve_heuristic_cancellable`]): the annealer and the improvement
-//! loop poll a [`CancelToken`], so a speculative caller (the phase-3
-//! probe scheduler racing the heuristic against the exact search)
-//! abandons a pre-pass mid-anneal the moment its answer becomes
-//! unconsumable. A cancelled call returns `None` — cancellation is only
-//! ever requested for answers that are already irrelevant.
+//! loop poll a [`CancelToken`], so a caller whose answer becomes
+//! unconsumable (a gateway request whose client hung up) abandons the
+//! search mid-anneal. A cancelled call returns `None` — cancellation is
+//! only ever requested for answers that are already irrelevant.
 //!
 //! The result is always *feasible-verified* (re-checked through
 //! [`BindingProblem::verify`]), but may be suboptimal; the
@@ -164,8 +163,8 @@ pub fn solve_heuristic(problem: &BindingProblem, options: &HeuristicOptions) -> 
 /// annealer and the improvement loop poll it and return `None` when it
 /// (or any ancestor) is raised. `None` therefore means "no witness
 /// produced" — either the heuristic genuinely failed or the caller
-/// cancelled it; speculative callers cancel only answers they will never
-/// consume, so the ambiguity is harmless by construction.
+/// cancelled it; callers cancel only answers they will never consume, so
+/// the ambiguity is harmless by construction.
 #[must_use]
 pub fn solve_heuristic_cancellable(
     problem: &BindingProblem,

@@ -22,9 +22,9 @@
 //!   snapshotted in `crates/bench/BENCHMARKS.md`); the generic MILP layer
 //!   remains the sole independent cross-check.
 //!
-//! Long-running searches are cooperatively cancellable: the speculative
-//! callers in `stbus-core` (probe scheduler, batch runner) thread a
-//! [`CancelToken`] from the shared executor through
+//! Long-running searches are cooperatively cancellable: the callers in
+//! `stbus-core` (phase 3's two directions, the batch runner, a gateway
+//! request) thread a [`CancelToken`] through
 //! [`BindingProblem::find_feasible_stats_cancellable`] and the heuristic's
 //! annealing repair, so work whose answer can no longer be consumed is
 //! abandoned at the next poll instead of finishing a proof nobody reads.

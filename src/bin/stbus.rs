@@ -4,7 +4,7 @@
 //! stbus generate <mat1|mat2|fft|qsort|des|synthetic> [--seed N] [--out FILE]
 //! stbus analyze    --trace FILE [--window N] [--threshold F]
 //! stbus synthesize --trace FILE [--window N] [--threshold F] [--maxtb N]
-//!                  [--solver exact|heuristic|portfolio] [--jobs N] [--json]
+//!                  [--solver exact|heuristic|portfolio] [--json]
 //! stbus simulate   --trace FILE (--shared | --full | --buses 0,0,1,...)
 //! stbus suite      [--solver exact|heuristic|portfolio] [--jobs N] [--json]
 //! stbus serve      [--addr HOST:PORT] [--jobs N] [--queue-depth N]
@@ -24,24 +24,23 @@
 //! five paper benchmarks in parallel through [`stbus::core::Batch`].
 //!
 //! `--jobs N` caps the concurrency of the front end you invoke: for
-//! `synthesize` it sizes the speculative feasibility-probe waves of
-//! phase 3, for `suite` the batch's in-flight evaluations, for `serve`
-//! the request workers, for `replay` the delta chains replayed at once.
-//! It does not bound the layers beneath. Every layer — batch stages,
-//! probe scheduler, portfolio race, annealer restarts, the two phase-3
-//! crossbar directions, the phase-4 simulations — runs on one
-//! process-wide work-stealing executor ([`stbus::exec`]), sized to the
-//! machine's available parallelism (override with the
-//! `STBUS_EXEC_WORKERS` environment variable) and grown to `--jobs` when
-//! that is larger. So `--jobs 1` makes the front end's own loop
-//! sequential, but a `suite` design still solves its two directions
-//! concurrently and fans its simulations out at the executor's width.
-//! Results are bit-identical at every setting — the flag only trades
-//! wall-clock for cores.
+//! `suite` the batch's in-flight evaluations, for `serve` the request
+//! workers, for `replay` the delta chains replayed at once. It does not
+//! bound the layers beneath. Every layer — batch stages, annealer
+//! restarts, the two phase-3 crossbar directions, the phase-4
+//! simulations — runs on one process-wide work-stealing executor
+//! ([`stbus::exec`]), sized to the machine's available parallelism
+//! (override with the `STBUS_EXEC_WORKERS` environment variable) and
+//! grown to `--jobs` when that is larger; nothing else grows it. So
+//! `--jobs 1` makes the front end's own loop sequential, but a `suite`
+//! design still solves its two directions concurrently and fans its
+//! simulations out at the executor's width. Results are bit-identical at
+//! every setting — the flag only trades wall-clock for cores.
 //!
 //! Phase 3 runs the paper's one exact search (the binary search over
 //! bus counts with pruned feasibility probes, then MILP-2), so `--solver`
-//! and `--jobs` are the only solver flags.
+//! is the only solver flag. `synthesize` designs the one direction of
+//! its trace on the calling thread and takes no `--jobs`.
 //!
 //! `serve` starts the long-running HTTP+JSON gateway ([`stbus::gateway`])
 //! and blocks until a `POST /shutdown` drains it. Example session:
@@ -91,7 +90,7 @@ const USAGE: &str = "usage:
   stbus generate <mat1|mat2|fft|qsort|des|synthetic> [--seed N] [--out FILE]
   stbus analyze    --trace FILE [--window N] [--threshold F]
   stbus synthesize --trace FILE [--window N] [--threshold F] [--maxtb N]
-                   [--solver exact|heuristic|portfolio] [--jobs N] [--json]
+                   [--solver exact|heuristic|portfolio] [--json]
   stbus simulate   --trace FILE (--shared | --full | --buses 0,0,1,...)
   stbus suite      [--solver exact|heuristic|portfolio] [--jobs N] [--json]
   stbus serve      [--addr HOST:PORT] [--jobs N] [--queue-depth N]
@@ -255,7 +254,6 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
     let mut trace_path = None;
     let mut params = DesignParams::default();
     let mut solver = SolverKind::Exact;
-    let mut jobs: Option<NonZeroUsize> = None;
     let mut json = false;
     while let Some(flag) = args.next() {
         match flag {
@@ -268,20 +266,15 @@ fn synthesize<'a>(args: &mut impl Iterator<Item = &'a str>) -> Result<(), String
             }
             "--maxtb" => params = params.with_maxtb(parse(value(args, flag)?, "maxtb")?),
             "--solver" => solver = value(args, flag)?.parse()?,
-            "--jobs" => jobs = Some(parse_jobs(value(args, flag)?)?),
             "--json" => json = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    // Default: one in-flight probe per executor worker (results are
-    // bit-identical at any width, so parallel is always safe).
-    apply_jobs(jobs);
-    let jobs = jobs.or_else(|| NonZeroUsize::new(stbus::exec::parallelism()));
     let trace = load_trace(trace_path.as_deref())?;
     WindowStats::check_size(&[&trace], params.window_size).map_err(|e| e.to_string())?;
     let pre = Preprocessed::analyze(&trace, &params);
     let outcome = solver
-        .synthesizer(jobs)
+        .synthesizer()
         .synthesize(&pre, &params)
         .map_err(|e| e.to_string())?;
     if json {

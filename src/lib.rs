@@ -9,7 +9,7 @@
 //! * [`sim`] — the cycle-accurate STbus interconnect simulator;
 //! * [`core`] — the four-phase design methodology and baselines;
 //! * [`exec`] — the process-wide work-stealing executor every parallel
-//!   layer (batch stages, probe scheduler, portfolio race, annealer
+//!   layer (batch stages, phase 3's two crossbar directions, annealer
 //!   restarts) runs on;
 //! * [`gateway`] — the long-running HTTP+JSON synthesis service
 //!   (`stbus serve`): bounded admission, tenant-fair scheduling,

@@ -1,15 +1,18 @@
 //! Property tests over the analysis layer: trace interchange round-trips,
 //! uniform/variable window-plan equivalences, the window sweep against
-//! the sort-and-segment sweep it replaced, and LP-solver sanity on random
-//! models.
+//! the sort-and-segment sweep it replaced, sweep-resident re-thresholding
+//! against a fresh analysis, and LP-solver sanity on random models.
 
 #[path = "support/reference_window.rs"]
 mod reference_window;
 
 use proptest::prelude::*;
+use stbus::core::{DesignParams, Pipeline, Preprocessed};
 use stbus::milp::simplex::{solve_lp, BoundOverrides, LpOutcome};
 use stbus::milp::{Cmp, LinExpr, Model, Sense};
-use stbus::traffic::{io, InitiatorId, TargetId, Trace, TraceEvent, WindowPlan, WindowStats};
+use stbus::traffic::{
+    io, workloads, InitiatorId, TargetId, Trace, TraceEvent, WindowPlan, WindowStats,
+};
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
     (1usize..=3, 1usize..=5).prop_flat_map(|(ni, nt)| {
@@ -188,6 +191,82 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A θ-sweep through the sweep-resident overlap profile derives the
+/// same conflict graphs, both directions, as a fresh analysis per point.
+#[test]
+fn analyze_sweep_matches_fresh_analysis() {
+    let app = workloads::matrix::mat2(0xDA7E_2005);
+    let base = DesignParams::default().with_overlap_threshold(0.15);
+    let collected = Pipeline::collect(&app, &base);
+    let thresholds = [0.05, 0.10, 0.15, 0.25, 0.40];
+    let swept = collected.analyze_sweep(&base, &thresholds);
+    for (&theta, incremental) in thresholds.iter().zip(&swept) {
+        let fresh = collected.analyze(&base.clone().with_overlap_threshold(theta));
+        assert_eq!(
+            incremental.pre_it().conflicts,
+            fresh.pre_it().conflicts,
+            "θ={theta}: IT conflicts"
+        );
+        assert_eq!(
+            incremental.pre_ti().conflicts,
+            fresh.pre_ti().conflicts,
+            "θ={theta}: TI conflicts"
+        );
+    }
+}
+
+/// Sorted traces of 4 initiators and 8 targets within 700 cycles, dense
+/// enough that most thresholds leave some pairs in conflict.
+fn arb_conflict_trace() -> impl Strategy<Value = Trace> {
+    prop::collection::vec(
+        (
+            0usize..4,
+            0usize..8,
+            0u64..600,
+            1u32..90,
+            proptest::bool::ANY,
+        ),
+        1..70,
+    )
+    .prop_map(|events| {
+        let mut tr = Trace::new(4, 8);
+        for (i, t, s, d, critical) in events {
+            tr.push(if critical {
+                TraceEvent::critical(InitiatorId::new(i), TargetId::new(t), s, d)
+            } else {
+                TraceEvent::new(InitiatorId::new(i), TargetId::new(t), s, d)
+            });
+        }
+        tr.finish_sorting();
+        tr
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random traces, windows and thresholds: re-thresholding an analysis
+    /// at a new θ equals a fresh analysis at that θ.
+    #[test]
+    fn at_threshold_matches_fresh_analysis(
+        tr in arb_conflict_trace(),
+        ws in 20u64..400,
+        theta_a in 0u32..=50,
+        theta_b in 0u32..=50,
+        maxtb in 2usize..=5,
+    ) {
+        let base = DesignParams::default()
+            .with_window_size(ws)
+            .with_maxtb(maxtb)
+            .with_overlap_threshold(f64::from(theta_a) / 100.0);
+        let theta = f64::from(theta_b) / 100.0;
+        let swept = Preprocessed::analyze(&tr, &base).at_threshold(theta);
+        let fresh = Preprocessed::analyze(&tr, &base.with_overlap_threshold(theta));
+        prop_assert_eq!(&swept.conflicts, &fresh.conflicts);
+        prop_assert_eq!(&swept.stats, &fresh.stats);
     }
 }
 

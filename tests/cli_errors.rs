@@ -38,6 +38,10 @@ fn removed_solver_flags_exit_with_usage() {
     // The old `--heuristic` alias of `--solver heuristic`.
     let output = stbus(&["synthesize", "--trace", trace, "--heuristic"]);
     assert_refused(&output, "unknown flag");
+    // `synthesize` solves one direction on the calling thread; `--jobs`
+    // stays on `suite`, `serve` and `replay` only.
+    let output = stbus(&["synthesize", "--trace", trace, "--jobs", "2"]);
+    assert_refused(&output, "unknown flag");
     let _ = std::fs::remove_file(trace);
 }
 

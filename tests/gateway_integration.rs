@@ -256,7 +256,7 @@ fn workload_and_trace_responses_are_bit_identical_to_the_pipeline() {
     let params = DesignParams::default().with_overlap_threshold(0.15);
     let collected = Pipeline::collect(&app, &params);
     let analyzed = collected.analyze(&params);
-    let strategy = SolverKind::Exact.synthesizer(None);
+    let strategy = SolverKind::Exact.synthesizer();
     let direct = analyzed.synthesize(&*strategy).expect("direct synthesis");
 
     // Workload mode: both directions.
@@ -535,7 +535,7 @@ fn delta_requests_reuse_artifacts_and_match_from_scratch() {
         .expect("valid delta");
     let analyzed = patched.analyze(&params);
     let direct = analyzed
-        .synthesize(&*SolverKind::Exact.synthesizer(None))
+        .synthesize(&*SolverKind::Exact.synthesizer())
         .expect("direct synthesis");
     assert_verdict_matches(outcome_field(&warm, "it"), &direct.it);
     assert_verdict_matches(outcome_field(&warm, "ti"), &direct.ti);
@@ -1045,7 +1045,7 @@ fn collect_cache_is_keyed_by_the_workload_spec() {
     let collected = Pipeline::collect(&app, &params);
     let analyzed = collected.analyze(&params);
     let direct = analyzed
-        .synthesize(&*SolverKind::Exact.synthesizer(None))
+        .synthesize(&*SolverKind::Exact.synthesizer())
         .expect("direct synthesis");
     let wire = json::parse(other.trim()).expect("JSON response");
     assert_outcome_matches(outcome_field(&wire, "it"), &direct.it);
@@ -1160,6 +1160,29 @@ fn suite_rows_are_byte_identical_to_the_cli() {
         assert_eq!(status, 200, "body: {wire}");
         assert_eq!(wire, cli, "`/suite {body}` must match `stbus {cli_args:?}`");
     }
+    gateway.shutdown();
+    gateway.join();
+}
+
+/// A request's `"jobs"` never grows the process-wide executor, whose
+/// threads never exit: only the operator's `--jobs` sizes it. On a host
+/// with fewer than 8 workers this fails if a request can grow it.
+#[test]
+fn request_jobs_never_grow_the_executor() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+    let before = stbus::exec::workers();
+    for (path, body) in [
+        ("/synthesize", r#"{"suite":"mat2","seed":42,"jobs":8}"#),
+        (
+            "/sweep",
+            r#"{"suite":"mat2","seed":42,"thresholds":[0.15],"jobs":8}"#,
+        ),
+    ] {
+        let (status, reply) = http_post(addr, path, body, None);
+        assert_eq!(status, 200, "{path} {body}: {reply}");
+    }
+    assert_eq!(stbus::exec::workers(), before, "executor workers");
     gateway.shutdown();
     gateway.join();
 }

@@ -301,8 +301,7 @@ fn soc_params() -> DesignParams {
         .with_maxtb(6)
 }
 
-/// Under every one-probe-at-a-time strategy the concurrently solved
-/// directions equal the sequential reference, on the paper suite and on
+/// Under every strategy the concurrently solved directions equal the sequential reference, on the paper suite and on
 /// a 32-target SoC where the budgeted portfolio falls back to the
 /// heuristic on some probes. The SoC point takes about a minute
 /// unoptimised, so it runs in release builds only (CI's release
@@ -327,7 +326,6 @@ fn concurrent_directions_match_sequential_reference() {
     for (app, params) in &points {
         let analyzed = Pipeline::collect(app, params).analyze(params);
         for strategy in &strategies {
-            assert_eq!(strategy.probe_width(), 1, "{}", strategy.name());
             let label = format!("{} {}", app.name(), strategy.name());
             assert_directions_match_sequential(&label, &analyzed, strategy.as_ref());
         }
@@ -355,10 +353,6 @@ impl<S> Watched<S> {
 impl<S: Synthesizer> Synthesizer for Watched<S> {
     fn name(&self) -> &'static str {
         self.inner.name()
-    }
-
-    fn probe_width(&self) -> usize {
-        self.inner.probe_width()
     }
 
     fn synthesize_cancellable(
@@ -426,16 +420,11 @@ struct Scripted<'a> {
     request: &'a Preprocessed,
     it: Answer,
     ti: Answer,
-    width: usize,
 }
 
 impl Synthesizer for Scripted<'_> {
     fn name(&self) -> &'static str {
         "scripted"
-    }
-
-    fn probe_width(&self) -> usize {
-        self.width
     }
 
     fn synthesize_cancellable(
@@ -460,36 +449,32 @@ impl Synthesizer for Scripted<'_> {
 
 /// The request direction's error or `Ok(None)` wins over anything the
 /// response direction answers; otherwise the response direction's error
-/// or `Ok(None)` is the result — whether or not the directions run
-/// concurrently.
+/// or `Ok(None)` is the result, as in the sequential order.
 #[test]
 fn request_direction_takes_precedence() {
     let app = workloads::matrix::mat2(42);
     let params = DesignParams::default();
     let analyzed = Pipeline::collect(&app, &params).analyze(&params);
     let answers = [Answer::Design, Answer::Cancelled, Answer::OverBudget(0)];
-    for width in [1, 2] {
-        for it in answers {
-            for ti in answers {
-                let ti = match ti {
-                    Answer::OverBudget(_) => Answer::OverBudget(1),
-                    other => other,
-                };
-                let strategy = Scripted {
-                    request: analyzed.pre_it(),
-                    it,
-                    ti,
-                    width,
-                };
-                let outcome = analyzed.synthesize_cancellable(&strategy, &CancelToken::new());
-                let got = match outcome {
-                    Ok(Some(_)) => Answer::Design,
-                    Ok(None) => Answer::Cancelled,
-                    Err(FlowError::SolverLimit(e)) => Answer::OverBudget(e.limit),
-                };
-                let expected = if it == Answer::Design { ti } else { it };
-                assert_eq!(got, expected, "width {width}: it {it:?}, ti {ti:?}");
-            }
+    for it in answers {
+        for ti in answers {
+            let ti = match ti {
+                Answer::OverBudget(_) => Answer::OverBudget(1),
+                other => other,
+            };
+            let strategy = Scripted {
+                request: analyzed.pre_it(),
+                it,
+                ti,
+            };
+            let outcome = analyzed.synthesize_cancellable(&strategy, &CancelToken::new());
+            let got = match outcome {
+                Ok(Some(_)) => Answer::Design,
+                Ok(None) => Answer::Cancelled,
+                Err(FlowError::SolverLimit(e)) => Answer::OverBudget(e.limit),
+            };
+            let expected = if it == Answer::Design { ti } else { it };
+            assert_eq!(got, expected, "it {it:?}, ti {ti:?}");
         }
     }
 }
@@ -504,19 +489,13 @@ fn response_direction_sees_the_callers_token() {
     let analyzed = Pipeline::collect(&app, &params).analyze(&params);
     let raised = CancelToken::new();
     raised.cancel();
-    for width in [1, 2] {
-        let strategy = Scripted {
-            request: analyzed.pre_it(),
-            it: Answer::Design,
-            ti: Answer::Design,
-            width,
-        };
-        let outcome = analyzed
-            .synthesize_cancellable(&strategy, &raised)
-            .expect("a cancelled search is no error");
-        assert!(
-            outcome.is_none(),
-            "width {width}: design under a raised token"
-        );
-    }
+    let strategy = Scripted {
+        request: analyzed.pre_it(),
+        it: Answer::Design,
+        ti: Answer::Design,
+    };
+    let outcome = analyzed
+        .synthesize_cancellable(&strategy, &raised)
+        .expect("a cancelled search is no error");
+    assert!(outcome.is_none(), "design under a raised token");
 }

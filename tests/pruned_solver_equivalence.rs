@@ -4,15 +4,13 @@
 //! The whole phase-3 outcome — feasibility verdicts, probe logs, chosen
 //! size, MILP-2 binding, engine — is asserted equal between
 //! [`PruningLevel::Standard`] and the unpruned `Off` reference on the
-//! paper suite and on scaled synthetic instances, including under the
-//! parallel probe scheduler at `jobs > 1`.
+//! paper suite, on scaled synthetic instances and on random traces.
 
 use proptest::prelude::*;
 use stbus::core::{DesignParams, Exact, Pipeline, Preprocessed, SynthesisOutcome, Synthesizer};
 use stbus::milp::{NodeLimitExceeded, PruningLevel, SolveLimits};
 use stbus::traffic::workloads;
 use stbus::traffic::{InitiatorId, TargetId, Trace, TraceEvent};
-use std::num::NonZeroUsize;
 
 fn suite_params(name: &str) -> DesignParams {
     match name {
@@ -47,7 +45,7 @@ fn assert_same_outcome(label: &str, a: &SynthesisOutcome, b: &SynthesisOutcome) 
 }
 
 /// `Standard` pruning is bit-identical to `Off` on every paper workload
-/// and direction, sequentially and under the speculative scheduler.
+/// and direction.
 #[test]
 fn pruning_levels_agree_on_paper_suite() {
     for app in workloads::paper_suite(0xDA7E_2005) {
@@ -62,28 +60,13 @@ fn pruning_levels_agree_on_paper_suite() {
                 .synthesize(pre, &params.clone().with_pruning(PruningLevel::Standard))
                 .expect("within limits");
             assert_same_outcome(&format!("{}/{dir} std", app.name()), &standard, &off);
-
-            // Includes the priority-lane widths: promoted consume-next
-            // probes must stay bit-identical at every worker count.
-            for jobs in [1usize, 2, 4, 8] {
-                let jobs = NonZeroUsize::new(jobs).unwrap();
-                let scheduled = Exact::default()
-                    .with_jobs(jobs)
-                    .synthesize(pre, &params.clone().with_pruning(PruningLevel::Standard))
-                    .expect("within limits");
-                assert_same_outcome(
-                    &format!("{}/{dir} std jobs={jobs}", app.name()),
-                    &scheduled,
-                    &off,
-                );
-            }
         }
     }
 }
 
 /// Scaled synthetic instance (24 targets, the conflict-dense bench
 /// point): bit-identity of `Standard` vs `Off` holds where the unpruned
-/// search is still tractable, scheduler included.
+/// search is still tractable.
 #[test]
 fn pruning_levels_agree_on_scaled_synthetic() {
     let app = workloads::synthetic::scaled_soc(24, 0xDA7E_2005);
@@ -99,11 +82,6 @@ fn pruning_levels_agree_on_scaled_synthetic() {
         .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Standard))
         .expect("within limits");
     assert_same_outcome("scaled-24 std", &standard, &off);
-    let scheduled = Exact::default()
-        .with_jobs(NonZeroUsize::new(4).unwrap())
-        .synthesize(&pre, &params.clone().with_pruning(PruningLevel::Standard))
-        .expect("within limits");
-    assert_same_outcome("scaled-24 std jobs=4", &scheduled, &off);
 }
 
 /// Tractability regression guard for the size-sweep cliff, pinned to
@@ -211,7 +189,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random traces: the full phase-3 outcome is bit-identical with and
-    /// without pruning, sequential and scheduled.
+    /// without pruning.
     #[test]
     fn random_instances_agree_across_levels(
         tr in arb_trace(),
@@ -231,12 +209,5 @@ proptest! {
         prop_assert_eq!(&standard.binding, &off.binding);
         prop_assert_eq!(standard.num_buses, off.num_buses);
         prop_assert_eq!(standard.max_bus_overlap, off.max_bus_overlap);
-
-        let scheduled = Exact::default()
-            .with_jobs(NonZeroUsize::new(4).unwrap())
-            .synthesize(&pre, &params)
-            .expect("within limits");
-        prop_assert_eq!(&scheduled.probes, &off.probes);
-        prop_assert_eq!(&scheduled.binding, &off.binding);
     }
 }
