@@ -117,7 +117,9 @@ pub use flow::{paper_rows_json, ConfigEval, DesignReport, FlowError};
 pub use incremental::TouchedTargets;
 pub use params::{paper_suite_params, DesignParams, Windowing};
 pub use phase2::Preprocessed;
-pub use phase3::{synthesize_exact, synthesize_heuristic, SynthesisEngine, SynthesisOutcome};
+pub use phase3::{
+    solve_directions, synthesize_exact, synthesize_heuristic, SynthesisEngine, SynthesisOutcome,
+};
 pub use phase4::{QosReport, QosStream, Validation};
 pub use pipeline::{
     AnalysisArtifact, AnalysisKey, Analyzed, BaselineSet, Collected, CollectionKey, Evaluation,

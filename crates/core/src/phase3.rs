@@ -8,7 +8,12 @@
 //!    remains valid with extra buses), so binary search is sound.
 //! 2. **Optimal binding (MILP-2)** — for the minimum size, minimise
 //!    `maxov`, the maximum aggregate pairwise overlap on any single bus
-//!    (Eq. 11), which is what reduces average and peak latency.
+//!    (Eq. 11), which is what reduces average and peak latency. MILP-2
+//!    starts from the binary search's witness at the minimum size
+//!    ([`stbus_milp::BindingProblem::optimize_from_cancellable`]): the
+//!    probe already ran the feasibility search MILP-2 would begin with,
+//!    under the same limits, so its binding is the incumbent that search
+//!    would recompute.
 //!
 //! There is one exact solve path, [`synthesize_exact`], and one heuristic
 //! path, [`synthesize_heuristic`]. Both solve one direction on the calling
@@ -213,8 +218,9 @@ pub fn synthesize_heuristic(
 }
 
 /// Exact synthesis: the MILP-1 binary search over the bus count, then
-/// MILP-2 at the minimum size. Each probe solves its bus count inline,
-/// one at a time, with the admissible pruning of [`stbus_milp::bounds`].
+/// MILP-2 at the minimum size, seeded with the last feasible probe's
+/// witness. Each probe solves its bus count inline, one at a time, with
+/// the admissible pruning of [`stbus_milp::bounds`].
 ///
 /// `Ok(None)` means `cancel` was raised and the synthesis was abandoned:
 /// the token is polled between probes, inside every probe's search, and
@@ -244,7 +250,8 @@ pub fn synthesize_exact(
     let (mut lo, mut hi) = (lower_bound, n);
     let mut probes = Vec::new();
     let mut stats = SearchStats::default();
-    let mut best_feasible = None;
+    // The last feasible probe's binding, found at the final `hi`.
+    let mut witness = None;
     let interrupted = |e| match e {
         SearchInterrupted::Budget(e) => Err(e),
         SearchInterrupted::Cancelled => Ok(None),
@@ -265,24 +272,27 @@ pub fn synthesize_exact(
         probes.push((mid, feasible.is_some()));
         match feasible {
             Some(binding) => {
-                best_feasible = Some((mid, binding));
+                witness = Some(binding);
                 hi = mid;
             }
             None => lo = mid + 1,
         }
     }
 
-    // MILP-2: optimal binding at the minimum size. `lo == hi == n` with
-    // `n` never probed falls back to the trivially feasible full binding.
-    let binding = match pre
-        .binding_problem(lo)
-        .optimize_cancellable(&params.solve_limits, cancel)
-    {
-        Ok(Some(binding)) => binding,
-        Ok(None) => match best_feasible {
-            Some((buses, binding)) if buses == lo => binding,
-            _ => full_binding(n),
-        },
+    // MILP-2: optimal binding at the minimum size, improving on the
+    // probe's witness at `lo == hi` — the binding MILP-2's own feasibility
+    // pass would recompute. Without a feasible probe `lo == n` was never
+    // probed: MILP-2 then runs from scratch, and falls back to the
+    // trivially feasible full binding.
+    let problem = pre.binding_problem(lo);
+    let optimized = match witness {
+        Some(witness) => problem
+            .optimize_from_cancellable(witness, &params.solve_limits, cancel)
+            .map(Some),
+        None => problem.optimize_cancellable(&params.solve_limits, cancel),
+    };
+    let binding = match optimized {
+        Ok(binding) => binding.unwrap_or_else(|| full_binding(n)),
         Err(e) => return interrupted(e),
     };
     Ok(Some(outcome(
@@ -294,6 +304,33 @@ pub fn synthesize_exact(
         SynthesisEngine::Exact,
         stats,
     )))
+}
+
+/// Solves the request and response crossbars concurrently: `ti` runs as
+/// a task on the process-wide executor under a token linked to `cancel`,
+/// `it` on the calling thread under `cancel` itself. The answer is the
+/// sequential order's: the request direction's error or `None` (it was
+/// cancelled) wins and cancels the response task; otherwise the response
+/// direction's error or `None` does; otherwise both outcomes return.
+///
+/// # Errors
+///
+/// The request direction's error, else the response direction's.
+pub fn solve_directions<T: Send, E: Send>(
+    cancel: &CancelToken,
+    it: impl FnOnce(&CancelToken) -> Result<Option<T>, E>,
+    ti: impl FnOnce(&CancelToken) -> Result<Option<T>, E> + Send,
+) -> Result<Option<(T, T)>, E> {
+    crate::exec::scope(|s| {
+        let ti = s.submit(|token| ti(&token.child_linked(cancel)));
+        match it(cancel) {
+            Ok(Some(it)) => Ok(s.take(ti)?.map(|ti| (it, ti))),
+            lost => {
+                s.cancel(ti);
+                lost.map(|_| None)
+            }
+        }
+    })
 }
 
 #[cfg(test)]

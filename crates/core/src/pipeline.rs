@@ -62,7 +62,7 @@ use crate::params::DesignParams;
 use crate::params::Windowing;
 use crate::phase1::{collect, CollectedTraffic};
 use crate::phase2::Preprocessed;
-use crate::phase3::SynthesisOutcome;
+use crate::phase3::{self, SynthesisOutcome};
 use crate::phase4::Validation;
 use crate::synthesizer::Synthesizer;
 use serde::{Deserialize, Serialize};
@@ -613,12 +613,13 @@ impl<'a> Analyzed<'a> {
     /// lets a service abandon an in-flight design the moment its requester
     /// goes away instead of finishing a solve nobody will read.
     ///
-    /// The request and response crossbars are independent problems: the
-    /// response direction runs as an executor task while the calling
-    /// thread solves the request direction. The result is the sequential
-    /// one: a request-direction error or `Ok(None)` wins (the response
-    /// task is cancelled), and otherwise the response direction's error
-    /// or `Ok(None)` is returned.
+    /// The request and response crossbars are independent problems, solved
+    /// concurrently by [`phase3::solve_directions`]: the response direction
+    /// runs as an executor task while the calling thread solves the
+    /// request direction. The result is the sequential one: a
+    /// request-direction error or `Ok(None)` wins (the response task is
+    /// cancelled), and otherwise the response direction's error or
+    /// `Ok(None)` is returned.
     ///
     /// # Errors
     ///
@@ -631,16 +632,11 @@ impl<'a> Analyzed<'a> {
         let solve = |pre: &Preprocessed, cancel: &exec::CancelToken| {
             strategy.synthesize_cancellable(pre, &self.params, cancel)
         };
-        let both = exec::scope(|s| {
-            let ti = s.submit(|token| solve(&self.pre_ti, &token.child_linked(cancel)));
-            match solve(&self.pre_it, cancel) {
-                Ok(Some(it)) => Ok(s.take(ti)?.map(|ti| (it, ti))),
-                lost => {
-                    s.cancel(ti);
-                    lost.map(|_| None)
-                }
-            }
-        })?;
+        let both = phase3::solve_directions(
+            cancel,
+            |cancel| solve(&self.pre_it, cancel),
+            |cancel| solve(&self.pre_ti, cancel),
+        )?;
         Ok(both.map(|(it, ti)| Synthesized {
             analyzed: self,
             it,

@@ -72,7 +72,7 @@ use stbus_core::phase1::CollectedTraffic;
 use stbus_core::pipeline::{
     AnalysisArtifact, AnalysisKey, Analyzed, Collected, CollectionKey, Pipeline,
 };
-use stbus_core::{DesignParams, Preprocessed, SolverKind};
+use stbus_core::{solve_directions, DesignParams, Preprocessed, SolverKind};
 use stbus_exec::{self as exec, CancelToken};
 use stbus_journal::RecordKind;
 use stbus_milp::{Binding, WarmStart};
@@ -228,16 +228,22 @@ impl Routes {
         // The warm start never changes verdicts, probe logs or bus counts
         // (see `SolveLimits::warm_start`); it only lets the search seed or
         // short-circuit from the previous answer.
-        let solve = |pre, warm: &Binding| {
+        // The two directions solve concurrently with the pipeline's
+        // precedence (`solve_directions`), so the body is the sequential
+        // order's.
+        let solve = |pre, warm: &Binding, cancel: &CancelToken| {
             let mut params = re.params().clone();
             params.solve_limits = params
                 .solve_limits
                 .clone()
                 .with_warm_start(WarmStart::new(warm.clone()));
-            solved(strategy.synthesize_cancellable(pre, &params, cancel))
+            strategy.synthesize_cancellable(pre, &params, cancel)
         };
-        let it = solve(re.pre_it(), &stored.warm_it)?;
-        let ti = solve(re.pre_ti(), &stored.warm_ti)?;
+        let (it, ti) = solved(solve_directions(
+            cancel,
+            |cancel| solve(re.pre_it(), &stored.warm_it, cancel),
+            |cancel| solve(re.pre_ti(), &stored.warm_ti, cancel),
+        ))?;
         let solver = stored.solver.to_string();
         let (it_json, ti_json) = (it.to_json(&solver), ti.to_json(&solver));
         let artifact = stored.chained(&re, &request.delta, it.binding, ti.binding);

@@ -269,7 +269,7 @@ fn reject_removed_knobs(obj: &Value) -> Result<(), String> {
     match REMOVED_KNOBS.iter().find(|&&knob| obj.get(knob).is_some()) {
         Some(knob) => Err(format!(
             "`{knob}` was removed: phase 3 runs one exact search, and only \
-             `solver` and `jobs` choose how it runs"
+             `solver` chooses how it runs"
         )),
         None => Ok(()),
     }
@@ -710,6 +710,12 @@ mod tests {
                 let suite = format!(r#"{{"{knob}":{value}}}"#);
                 let err = parse_synthesize(&synth).expect_err(&synth);
                 assert!(err.contains("was removed"), "{synth}: {err}");
+                // `jobs` only sets a sweep's width: it chooses nothing
+                // about how phase 3 runs.
+                assert!(
+                    err.ends_with("only `solver` chooses how it runs"),
+                    "{synth}: {err}"
+                );
                 assert!(parse_synthesize_route(&synth).is_err(), "{synth}");
                 assert!(parse_sweep(&sweep).is_err(), "{sweep}");
                 assert!(parse_suite(&suite).is_err(), "{suite}");

@@ -868,10 +868,11 @@ impl BindingProblem {
         uncancelled(|cancel| self.optimize_cancellable(limits, cancel))
     }
 
-    /// The MILP-2 driver, polling a cooperative [`CancelToken`]: both the
-    /// incumbent-seeding search and the improving search poll the token
-    /// at their checkpoints, so a raised token abandons MILP-2 within a
-    /// few thousand nodes.
+    /// The MILP-2 driver, polling a cooperative [`CancelToken`]: MILP-1's
+    /// feasibility search ([`BindingProblem::find_feasible_stats_cancellable`])
+    /// seeds the incumbent, then [`BindingProblem::optimize_from_cancellable`]
+    /// improves on it. Both searches poll the token at their checkpoints,
+    /// so a raised token abandons MILP-2 within a few thousand nodes.
     ///
     /// A verified [`SolveLimits::warm_start`] replaces the
     /// incumbent-seeding feasibility pass: the improving search starts
@@ -888,17 +889,45 @@ impl BindingProblem {
         limits: &SolveLimits,
         cancel: &CancelToken,
     ) -> Result<Option<Binding>, SearchInterrupted> {
-        // Seed the incumbent with any feasible solution so pruning bites
-        // immediately.
-        let seed = self.find_feasible_stats_cancellable(limits, cancel)?.0;
-        match seed {
+        match self.find_feasible_stats_cancellable(limits, cancel)?.0 {
             None => Ok(None),
-            Some(feasible) => {
-                let (best, _nodes) =
-                    self.search_full(limits, Some(feasible.max_bus_overlap), cancel, false)?;
-                Ok(Some(best.unwrap_or(feasible)))
-            }
+            Some(feasible) => self
+                .optimize_from_cancellable(feasible, limits, cancel)
+                .map(Some),
         }
+    }
+
+    /// MILP-2 from a known feasible binding: searches, under its own
+    /// `limits.max_nodes` budget, for bindings whose maximum per-bus
+    /// overlap lies strictly below `feasible`'s and returns the best, or
+    /// `feasible` itself when none exists. Handed the binding
+    /// [`BindingProblem::find_feasible_stats_cancellable`] returned for the
+    /// same `limits`, it answers exactly as
+    /// [`BindingProblem::optimize_cancellable`], minus the repeated
+    /// feasibility search: phase 3 passes its binary search's witness.
+    ///
+    /// `feasible` must verify against this problem with its recorded
+    /// objective ([`BindingProblem::verify`]); the improving search trusts
+    /// that objective as its incumbent.
+    ///
+    /// # Errors
+    ///
+    /// [`SearchInterrupted::Budget`] when the node budget runs out,
+    /// [`SearchInterrupted::Cancelled`] when the token was raised.
+    pub fn optimize_from_cancellable(
+        &self,
+        feasible: Binding,
+        limits: &SolveLimits,
+        cancel: &CancelToken,
+    ) -> Result<Binding, SearchInterrupted> {
+        debug_assert_eq!(
+            self.verify(&feasible),
+            Some(feasible.max_bus_overlap),
+            "MILP-2 seeded with a binding that does not verify"
+        );
+        let (best, _nodes) =
+            self.search_full(limits, Some(feasible.max_bus_overlap), cancel, false)?;
+        Ok(best.unwrap_or(feasible))
     }
 
     /// Core DFS. When `incumbent_bound` is `Some(b)`, searches for a
@@ -1452,6 +1481,63 @@ mod tests {
             hard.optimize_cancellable(&unpruned, &raised),
             Err(SearchInterrupted::Cancelled)
         ));
+    }
+
+    #[test]
+    fn optimize_from_the_feasibility_witness_matches_optimize() {
+        // MILP-2 seeded with MILP-1's witness answers exactly as the
+        // two-step driver: on cold limits, on warm starts that verify or
+        // not, and on a budget too small to finish.
+        let mut state = 0xC0FF_EE00_D15C_0B01u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let root = CancelToken::new();
+        for case in 0..60 {
+            let n = 3 + (rand() % 8) as usize;
+            let buses = 2 + (rand() % 3) as usize;
+            let windows = 1 + (rand() % 4) as usize;
+            let demands: Vec<Vec<u64>> = (0..n)
+                .map(|_| (0..windows).map(|_| rand() % 70).collect())
+                .collect();
+            let mut p =
+                BindingProblem::new(buses, 100, demands).with_maxtb(2 + (rand() % 3) as usize);
+            for i in 0..n {
+                for j in i + 1..n {
+                    if rand() % 5 == 0 {
+                        p.add_conflict(i, j);
+                    }
+                }
+            }
+            let values: Vec<u64> = (0..n * n).map(|_| rand() % 50).collect();
+            p.set_overlaps(|i, j| values[i.min(j) * n + i.max(j)]);
+            let mut limits = match case % 3 {
+                0 => limits(),
+                1 => SolveLimits::nodes(1 + rand() % 40),
+                _ => limits().with_warm_start(WarmStart::new(Binding::from_assignment(
+                    (0..n).map(|_| (rand() % buses as u64) as usize).collect(),
+                ))),
+            };
+            if case % 7 == 0 {
+                limits = limits.with_pruning(PruningLevel::Off);
+            }
+            let two_step = p.optimize(&limits);
+            let seeded = p
+                .find_feasible(&limits)
+                .map_err(SearchInterrupted::Budget)
+                .and_then(|feasible| match feasible {
+                    None => Ok(None),
+                    Some(f) => p.optimize_from_cancellable(f, &limits, &root).map(Some),
+                });
+            assert_eq!(
+                two_step.map_err(SearchInterrupted::Budget),
+                seeded,
+                "case {case}"
+            );
+        }
     }
 
     #[test]

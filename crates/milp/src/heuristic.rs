@@ -17,7 +17,12 @@
 //!    process-wide executor ([`stbus_exec`]) and the **lowest-indexed**
 //!    successful restart is the answer, so the witness is identical to
 //!    the sequential restart loop at every worker count. A repaired
-//!    witness is verified like any other;
+//!    witness is verified like any other. Near the feasibility frontier
+//!    nearly every annealing move adds a conflict whose 10⁶ cost no
+//!    window gain can offset; such a *doomed* move is rejected from its
+//!    structural cost alone, before its windows are scanned, under a rule
+//!    that rejects exactly the moves the full scan would (see
+//!    [`anneal_walk`]), so the walks and their witnesses are unchanged;
 //! 3. **Improvement** — steepest-descent local search over single-target
 //!    relocations and pairwise swaps, accepting moves that reduce the
 //!    maximum per-bus overlap, until a fixpoint or the move budget runs
@@ -349,6 +354,12 @@ const REPAIR_VIOLATION: i64 = 1_000_000;
 /// known, the later restarts are cancelled mid-walk. Returns a feasible
 /// assignment or `None` when the budget runs out (which, as with greedy
 /// construction, proves nothing) or the caller cancelled the repair.
+///
+/// Most of a failing repair's steps are moves that add a conflict; each
+/// walk rejects those from a lower bound on their cost before scanning
+/// their windows (the doomed-move rule of [`anneal_walk`]). The rule
+/// rejects only moves the Metropolis test would reject at the same draw,
+/// so every walk, and therefore the witness, is the full scan's.
 fn repair_witness(
     problem: &BindingProblem,
     options: &HeuristicOptions,
@@ -397,11 +408,9 @@ fn repair_witness(
     })
 }
 
-/// One seeded annealing walk of the repair phase. Cost = conflicting
-/// co-located pairs and seat excesses (weighted [`REPAIR_VIOLATION`])
-/// plus window overflow cycles; every move's delta is evaluated
-/// incrementally. `cancelled` is polled every few thousand steps so an
-/// abandoned walk returns promptly.
+/// One seeded annealing walk of the repair phase: the walk's witness
+/// when it reaches zero cost, `None` when the budget runs out first or
+/// the walk was cancelled.
 fn anneal_restart(
     problem: &BindingProblem,
     sparse: &[Vec<(usize, u64)>],
@@ -409,6 +418,70 @@ fn anneal_restart(
     restart: usize,
     cancelled: &dyn Fn() -> bool,
 ) -> Option<Vec<usize>> {
+    let (assign, cost) = anneal_walk(problem, sparse, steps, restart, cancelled)?;
+    if cost != 0 {
+        return None;
+    }
+    debug_assert!(
+        problem
+            .verify(&Binding::from_assignment(assign.clone()))
+            .is_some(),
+        "repair cost model disagrees with verify"
+    );
+    Some(assign)
+}
+
+/// Denominator of the annealer's acceptance number: a draw is
+/// `rand() % ACCEPT_SCALE`, read as the fraction `draw / ACCEPT_SCALE`,
+/// so a nonzero draw reads at least 10⁻⁶.
+const ACCEPT_SCALE: u64 = 1_000_000;
+
+/// A cost rise above `DOOMED_EXPONENT × temperature` is accepted with
+/// probability below exp(−20) ≈ 2.1·10⁻⁹, under the 10⁻⁶ that the
+/// smallest nonzero draw reads: only a zero draw could accept it.
+const DOOMED_EXPONENT: f64 = 20.0;
+
+/// The Metropolis rule: a cost rise `delta > 0` is accepted when the draw
+/// reads below `exp(−delta / temperature)`.
+fn metropolis(delta: i64, draw: u64, temperature: f64) -> bool {
+    (draw as f64 / ACCEPT_SCALE as f64) < (-(delta as f64) / temperature).exp()
+}
+
+/// Whether [`metropolis`] rejects every move whose cost rises by at least
+/// `floor` at this `draw`, so the move's window terms need not be
+/// scanned. With `floor > 0` the move's delta is positive, so the walk
+/// draws exactly where it always did; a nonzero draw reads at least
+/// 10⁻⁶, while `delta ≥ floor > DOOMED_EXPONENT × temperature` puts the
+/// acceptance probability below exp(−20). A zero draw is never doomed
+/// (`0 < exp(…)` may hold): it decides on the full delta as before.
+fn doomed(floor: i64, draw: u64, temperature: f64) -> bool {
+    draw != 0 && floor > 0 && floor as f64 > DOOMED_EXPONENT * temperature
+}
+
+/// The repair walk itself: the final assignment and its cost (zero for a
+/// witness), or `None` when cancelled. Cost = conflicting co-located
+/// pairs and seat excesses (weighted [`REPAIR_VIOLATION`]) plus window
+/// overflow cycles; every move's delta is evaluated incrementally.
+/// `cancelled` is polled every few thousand steps so an abandoned walk
+/// returns promptly.
+///
+/// A move first prices its structural change (conflicts and seats). The
+/// window terms can lower the cost by at most the target's total demand
+/// `Σ_m d(t,m)` (each window's overflow falls by at most `d(t,m)` on the
+/// bus it leaves and never falls on the bus it joins), so `structural −
+/// Σ_m d(t,m)` is a floor on the move's delta. When that floor makes the
+/// move [`doomed`], the walk draws the acceptance number and rejects
+/// without scanning the windows: near the feasibility frontier nearly
+/// every move adds a 10⁶-cost conflict that no window gain can offset.
+/// The random sequence, the temperature schedule and every accepted move
+/// are those of the full scan, so the walk is bit-identical to it.
+fn anneal_walk(
+    problem: &BindingProblem,
+    sparse: &[Vec<(usize, u64)>],
+    steps: usize,
+    restart: usize,
+    cancelled: &dyn Fn() -> bool,
+) -> Option<(Vec<usize>, i64)> {
     let n = problem.num_targets();
     let buses = problem.num_buses();
     let windows = problem.num_windows();
@@ -425,6 +498,10 @@ fn anneal_restart(
             .map(|(&r, &w)| (r & w).count_ones() as i64)
             .sum()
     };
+    let window_gain_cap: Vec<i64> = sparse
+        .iter()
+        .map(|s| s.iter().map(|&(_, d)| d as i64).sum())
+        .collect();
 
     let mut state = 0x5EED_C0DE_0000_0001u64 ^ (restart as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let mut rand = move || {
@@ -473,31 +550,40 @@ fn anneal_restart(
         if to == from {
             continue;
         }
-        let mut delta = 0i64;
-        delta -= conflict_count(t, &masks[from]).saturating_mul(REPAIR_VIOLATION);
-        delta += conflict_count(t, &masks[to]).saturating_mul(REPAIR_VIOLATION);
-        delta += seat_cost(lens[from] - 1) - seat_cost(lens[from]);
-        delta += seat_cost(lens[to] + 1) - seat_cost(lens[to]);
-        for &(m, d) in &sparse[t] {
-            let cap = problem.capacity(m);
-            delta += overflow(loads[to][m] + d, cap) - overflow(loads[to][m], cap);
-            delta += overflow(loads[from][m] - d, cap) - overflow(loads[from][m], cap);
-        }
-        let accept = delta <= 0 || {
-            let u = (rand() % 1_000_000) as f64 / 1_000_000.0;
-            u < (-(delta as f64) / temperature).exp()
-        };
-        if accept {
-            assign[t] = to;
-            masks[from].remove(t);
-            masks[to].insert(t);
-            lens[from] -= 1;
-            lens[to] += 1;
+        let structural = conflict_count(t, &masks[to]).saturating_mul(REPAIR_VIOLATION)
+            - conflict_count(t, &masks[from]).saturating_mul(REPAIR_VIOLATION)
+            + seat_cost(lens[from] - 1)
+            - seat_cost(lens[from])
+            + seat_cost(lens[to] + 1)
+            - seat_cost(lens[to]);
+        let floor = structural - window_gain_cap[t];
+        // A positive floor means a positive delta, which always draws.
+        let draw = (floor > 0).then(|| rand() % ACCEPT_SCALE);
+        if !draw.is_some_and(|draw| doomed(floor, draw, temperature)) {
+            let mut delta = structural;
             for &(m, d) in &sparse[t] {
-                loads[from][m] -= d;
-                loads[to][m] += d;
+                let cap = problem.capacity(m);
+                delta += overflow(loads[to][m] + d, cap) - overflow(loads[to][m], cap);
+                delta += overflow(loads[from][m] - d, cap) - overflow(loads[from][m], cap);
             }
-            cost += delta;
+            let accept = delta <= 0
+                || metropolis(
+                    delta,
+                    draw.unwrap_or_else(|| rand() % ACCEPT_SCALE),
+                    temperature,
+                );
+            if accept {
+                assign[t] = to;
+                masks[from].remove(t);
+                masks[to].insert(t);
+                lens[from] -= 1;
+                lens[to] += 1;
+                for &(m, d) in &sparse[t] {
+                    loads[from][m] -= d;
+                    loads[to][m] += d;
+                }
+                cost += delta;
+            }
         }
         temperature = (temperature * 0.99997).max(1.0);
         if step % 60_000 == 59_999 {
@@ -506,22 +592,252 @@ fn anneal_restart(
             temperature = 400.0;
         }
     }
-    if cost == 0 {
-        debug_assert!(
-            problem
-                .verify(&Binding::from_assignment(assign.clone()))
-                .is_some(),
-            "repair cost model disagrees with verify"
-        );
-        return Some(assign);
+    Some((assign, cost))
+}
+
+/// The repair walk before the doomed-move rule, kept as the reference the
+/// production walk is checked against move for move: every move scans
+/// its windows and then decides by the Metropolis formula inline.
+#[cfg(test)]
+mod reference {
+    use super::{TargetSet, REPAIR_VIOLATION};
+    use crate::binding::BindingProblem;
+
+    pub(super) fn walk(
+        problem: &BindingProblem,
+        sparse: &[Vec<(usize, u64)>],
+        steps: usize,
+        restart: usize,
+    ) -> (Vec<usize>, i64) {
+        let n = problem.num_targets();
+        let buses = problem.num_buses();
+        let windows = problem.num_windows();
+        let graph = problem.conflict_graph();
+        let maxtb = problem.maxtb();
+        let seat_cost = |len: usize| -> i64 {
+            (len.saturating_sub(maxtb) as i64).saturating_mul(REPAIR_VIOLATION)
+        };
+        let overflow = |load: u64, cap: u64| -> i64 { load.saturating_sub(cap) as i64 };
+        let conflict_count = |t: usize, mask: &TargetSet| -> i64 {
+            graph
+                .row(t)
+                .iter()
+                .zip(mask.words())
+                .map(|(&r, &w)| (r & w).count_ones() as i64)
+                .sum()
+        };
+
+        let mut state =
+            0x5EED_C0DE_0000_0001u64 ^ (restart as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut assign: Vec<usize> = (0..n).map(|_| (rand() % buses as u64) as usize).collect();
+        let mut loads = vec![vec![0u64; windows]; buses];
+        let mut masks = vec![TargetSet::empty(n); buses];
+        let mut lens = vec![0usize; buses];
+        for (t, &k) in assign.iter().enumerate() {
+            for &(m, d) in &sparse[t] {
+                loads[k][m] += d;
+            }
+            masks[k].insert(t);
+            lens[k] += 1;
+        }
+        let mut cost: i64 = 0;
+        for k in 0..buses {
+            cost += seat_cost(lens[k]);
+            for (m, &load) in loads[k].iter().enumerate() {
+                cost += overflow(load, problem.capacity(m));
+            }
+        }
+        let pair_sum: i64 = (0..n).map(|t| conflict_count(t, &masks[assign[t]])).sum();
+        cost += (pair_sum / 2).saturating_mul(REPAIR_VIOLATION);
+
+        let mut temperature = 2_000.0f64;
+        for step in 0..steps {
+            if cost == 0 {
+                break;
+            }
+            let t = (rand() % n as u64) as usize;
+            let from = assign[t];
+            let to = (rand() % buses as u64) as usize;
+            if to == from {
+                continue;
+            }
+            let mut delta = 0i64;
+            delta -= conflict_count(t, &masks[from]).saturating_mul(REPAIR_VIOLATION);
+            delta += conflict_count(t, &masks[to]).saturating_mul(REPAIR_VIOLATION);
+            delta += seat_cost(lens[from] - 1) - seat_cost(lens[from]);
+            delta += seat_cost(lens[to] + 1) - seat_cost(lens[to]);
+            for &(m, d) in &sparse[t] {
+                let cap = problem.capacity(m);
+                delta += overflow(loads[to][m] + d, cap) - overflow(loads[to][m], cap);
+                delta += overflow(loads[from][m] - d, cap) - overflow(loads[from][m], cap);
+            }
+            let accept = delta <= 0 || {
+                let u = (rand() % 1_000_000) as f64 / 1_000_000.0;
+                u < (-(delta as f64) / temperature).exp()
+            };
+            if accept {
+                assign[t] = to;
+                masks[from].remove(t);
+                masks[to].insert(t);
+                lens[from] -= 1;
+                lens[to] += 1;
+                for &(m, d) in &sparse[t] {
+                    loads[from][m] -= d;
+                    loads[to][m] += d;
+                }
+                cost += delta;
+            }
+            temperature = (temperature * 0.99997).max(1.0);
+            if step % 60_000 == 59_999 {
+                temperature = 400.0;
+            }
+        }
+        (assign, cost)
     }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binding::SolveLimits;
+
+    /// The Metropolis formula as the walk wrote it inline before the
+    /// doomed-move rule.
+    fn original_accepts(delta: i64, draw: u64, temperature: f64) -> bool {
+        delta <= 0 || (draw as f64 / 1_000_000.0) < (-(delta as f64) / temperature).exp()
+    }
+
+    #[test]
+    fn doomed_rule_decides_like_the_original_formula() {
+        let temperatures = [1.0, 1.5, 20.0, 65.3, 400.0, 1_999.9, 2_000.0];
+        let draws = [0, 1, 2, 7, 1_000, 123_456, 999_999];
+        let floors = [
+            -1_000_000, -15_200, -1, 0, 1, 19, 20, 21, 39, 41, 1_299, 8_000, 39_999, 40_001,
+            984_800, 1_000_000, 2_000_000,
+        ];
+        let rises = [0, 1, 5, 100, 15_200, 1_000_000];
+        for &temperature in &temperatures {
+            for &draw in &draws {
+                for &floor in &floors {
+                    // A zero draw is never doomed, whatever the floor.
+                    if draw == 0 {
+                        assert!(
+                            !doomed(floor, draw, temperature),
+                            "floor {floor} at {temperature}"
+                        );
+                    }
+                    for &rise in &rises {
+                        let delta = floor + rise;
+                        let decided = if floor > 0 {
+                            !doomed(floor, draw, temperature)
+                                && metropolis(delta, draw, temperature)
+                        } else {
+                            delta <= 0 || metropolis(delta, draw, temperature)
+                        };
+                        assert_eq!(
+                            decided,
+                            original_accepts(delta, draw, temperature),
+                            "floor {floor}, delta {delta}, draw {draw}, temperature {temperature}"
+                        );
+                    }
+                }
+            }
+        }
+        // A rise that is doomed for every nonzero draw is still taken by a
+        // zero draw while exp(−delta/T) is positive ...
+        assert!(doomed(1_000_000, 1, 2_000.0));
+        assert!(metropolis(1_000_000, 0, 2_000.0));
+        // ... and rejected by the full formula once exp underflows to 0 at
+        // the floor temperature.
+        assert_eq!((-1_000_000.0f64).exp(), 0.0);
+        assert!(!metropolis(1_000_000, 0, 1.0));
+        assert!(!original_accepts(1_000_000, 0, 1.0));
+    }
+
+    /// Pseudo-random binding problems with conflicts, tight windows and
+    /// `maxtb` pressure. `heavy` scales demands and capacities to the
+    /// violation weight, so a window gain can offset a conflict.
+    fn walk_instance(rand: &mut impl FnMut() -> u64, heavy: bool) -> BindingProblem {
+        let n = 6 + (rand() % 19) as usize;
+        let buses = 2 + (rand() % 4) as usize;
+        let windows = 1 + (rand() % 10) as usize;
+        let scale: u64 = if heavy { 3_000 } else { 1 };
+        let capacity = 1_000 * scale;
+        let demands: Vec<Vec<u64>> = (0..n)
+            .map(|_| {
+                (0..windows)
+                    .map(|_| match rand() % 3 {
+                        0 => 0,
+                        _ => (rand() % 900) * scale,
+                    })
+                    .collect()
+            })
+            .collect();
+        let maxtb = 1 + n / buses + (rand() % 3) as usize;
+        let mut p = BindingProblem::new(buses, capacity, demands).with_maxtb(maxtb);
+        let density = rand() % 60;
+        for i in 0..n {
+            for j in i + 1..n {
+                if rand() % 100 < density {
+                    p.add_conflict(i, j);
+                }
+            }
+        }
+        p
+    }
+
+    fn sparse_of(p: &BindingProblem) -> Vec<Vec<(usize, u64)>> {
+        (0..p.num_targets())
+            .map(|t| {
+                (0..p.num_windows())
+                    .map(|m| (m, p.demand(t, m)))
+                    .filter(|&(_, d)| d > 0)
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn walk_matches_the_full_scan_reference() {
+        let mut state = 0xD00D_F00D_1234_5678u64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut witnesses, mut failures) = (0, 0);
+        for case in 0..48 {
+            let p = walk_instance(&mut rand, case % 2 == 1);
+            let sparse = sparse_of(&p);
+            for restart in 0..4 {
+                let steps = 500 + (rand() % 30_000) as usize;
+                let got =
+                    anneal_walk(&p, &sparse, steps, restart, &|| false).expect("never cancelled");
+                let want = reference::walk(&p, &sparse, steps, restart);
+                assert_eq!(got, want, "case {case}, restart {restart}, {steps} steps");
+                assert_eq!(
+                    anneal_restart(&p, &sparse, steps, restart, &|| false),
+                    (want.1 == 0).then_some(want.0),
+                    "case {case}, restart {restart}: witness"
+                );
+                if want.1 == 0 {
+                    witnesses += 1;
+                } else {
+                    failures += 1;
+                }
+            }
+        }
+        // The battery covers walks that find a witness and walks that do
+        // not.
+        assert!(witnesses > 0 && failures > 0, "{witnesses} / {failures}");
+    }
 
     fn options() -> HeuristicOptions {
         HeuristicOptions::default()

@@ -566,6 +566,93 @@ fn delta_requests_reuse_artifacts_and_match_from_scratch() {
     gateway.join();
 }
 
+/// A delta whose request direction fails answers with that failure and
+/// deposits nothing, and the same delta then succeeds. The wire sets no
+/// node budget, so the failure is a cancellation: the delta waits in the
+/// queue behind a slow sweep while its client hangs up, so the request
+/// direction starts under a raised token and returns `None`, which wins
+/// over the concurrently started response direction.
+#[test]
+fn delta_whose_request_direction_fails_answers_the_failure() {
+    let gateway = spawn_gateway(1, 4);
+    let addr = gateway.addr();
+    let (status, body) = http_post(
+        addr,
+        "/synthesize",
+        r#"{"suite":"mat2","seed":42,"threshold":0.15}"#,
+        None,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let base = json::parse(body.trim()).expect("JSON response");
+    let artifact = base
+        .get("artifact")
+        .and_then(Value::as_str)
+        .expect("workload responses carry an artifact address")
+        .to_string();
+    let delta_body = format!(r#"{{"artifact":"{artifact}","delta":{{"threshold":0.2}}}}"#);
+
+    // Occupy the only worker, then queue the delta and hang up on it.
+    let slow = r#"{"scaled":24,"seed":3,"thresholds":[0.05,0.10,0.15,0.20,0.25,0.30,0.35,0.40,0.45,0.50]}"#;
+    let mut sweeper = TcpStream::connect(addr).expect("connect sweeper");
+    write_request(&mut sweeper, "POST", "/sweep", slow, None);
+    let requests = |key: &str| {
+        stats_of(addr)
+            .get("requests")
+            .and_then(|r| r.get(key))
+            .and_then(Value::as_u64)
+    };
+    let claimed = (0..200).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        requests("active") == Some(1)
+    });
+    assert!(claimed, "worker never claimed the sweep");
+    let mut doomed = TcpStream::connect(addr).expect("connect delta client");
+    write_request(&mut doomed, "POST", "/synthesize", &delta_body, None);
+    let queued = (0..200).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        stats_of(addr)
+            .get("queue")
+            .and_then(|q| q.get("queued"))
+            .and_then(Value::as_u64)
+            == Some(1)
+    });
+    assert!(queued, "the delta never queued");
+    drop(doomed);
+    // The connection thread polls for a hang-up every 50 ms.
+    std::thread::sleep(Duration::from_millis(500));
+    drop(sweeper);
+
+    // Both the sweep and the queued delta end cancelled; the delta still
+    // resolved its artifact.
+    let settled = (0..1_000).any(|_| {
+        std::thread::sleep(Duration::from_millis(10));
+        requests("cancelled") == Some(2) && requests("active") == Some(0)
+    });
+    assert!(settled, "stats: {:?}", stats_of(addr));
+    assert_eq!(requests("delta_reuse"), Some(1));
+    assert_eq!(requests("served"), Some(1), "only the base request served");
+
+    // Nothing was deposited for the failed delta: sent again, it solves
+    // and answers what a fresh gateway answers.
+    let (status, retried) = http_post(addr, "/synthesize", &delta_body, None);
+    assert_eq!(status, 200, "body: {retried}");
+    gateway.shutdown();
+    gateway.join();
+    let fresh = spawn_gateway(1, 4);
+    let (status, body) = http_post(
+        fresh.addr(),
+        "/synthesize",
+        r#"{"suite":"mat2","seed":42,"threshold":0.15}"#,
+        None,
+    );
+    assert_eq!(status, 200, "body: {body}");
+    let (status, reference) = http_post(fresh.addr(), "/synthesize", &delta_body, None);
+    assert_eq!(status, 200, "body: {reference}");
+    assert_eq!(retried, reference, "delta body after a failed attempt");
+    fresh.shutdown();
+    fresh.join();
+}
+
 #[test]
 fn full_queue_answers_429_with_retry_after() {
     let gateway = spawn_gateway(1, 1);
@@ -786,6 +873,10 @@ fn trace_mode_removed_solver_knobs_are_rejected() {
         let (status, body) = http_post(addr, "/synthesize", &body_with(knobs), None);
         assert_eq!(status, 400, "{knobs}: {body}");
         assert!(body.contains("was removed"), "{knobs}: {body}");
+        assert!(
+            body.contains("only `solver` chooses how it runs"),
+            "{knobs}: {body}"
+        );
     }
 
     let (status, body) = http_post(addr, "/synthesize", &body_with(""), None);
